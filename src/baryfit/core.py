@@ -109,6 +109,12 @@ class SampleSet:
         return SampleSet(self.points, self.values, mask)
 
 
+# Cauchy entries per row block of model evaluation (16 bytes each: 64 KB).
+_EVAL_BLOCK_ENTRIES = 4096
+# Pencil entries per block of Realization.transfer (0.5 MB).
+_TRANSFER_BLOCK_ENTRIES = 32768
+
+
 class RationalModel:
     """A barycentric rational function, or a degree-0 constant.
 
@@ -141,6 +147,9 @@ class RationalModel:
         _check_distinct(self.supports, "support points")
         if not np.any(self.weights != 0):
             raise ValueError("at least one weight must be nonzero")
+        # supports in numpy's complex order, to find points that hit one
+        self._support_order = np.argsort(self.supports)
+        self._sorted_supports = self.supports[self._support_order]
 
     @classmethod
     def constant(cls, value):
@@ -165,30 +174,62 @@ class RationalModel:
         return max(self.k - 1, 0)
 
     def __call__(self, z):
+        """Evaluate the model at one or more points (scalar in, scalar out).
+
+        Points are processed in row blocks of about 64 KB of Cauchy entries,
+        so the temporaries of a call stay small whatever the number of
+        points. That keeps the cost of a call independent of what the heap
+        went through before: glibc serves allocations above its mmap
+        threshold (128 KB until the process frees a larger block) with fresh
+        mappings, and whole-array temporaries would then be mapped, faulted
+        in and unmapped on every call.
+        """
         scalar_in = np.isscalar(z) or np.shape(z) == ()
         if self.is_constant:
             if scalar_in:
                 return self.constant_value
             return np.full(np.shape(z), self.constant_value, dtype=complex)
         zv = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
-        diffs = zv[:, None] - self.supports[None, :]
-        hit_row, hit_col = np.nonzero(diffs == 0)
-        diffs[hit_row, hit_col] = 1.0  # w_j = 0 terms then contribute nothing
-        cauchy = 1.0 / diffs
-        num = cauchy @ (self.weights * self.values)
-        den = cauchy @ self.weights
+        hit_row, hit_col = self._support_hits(zv)
+        wh = self.weights * self.values
+        num = np.empty(zv.size, dtype=complex)
+        den = np.empty(zv.size, dtype=complex)
+        # Results equal those of one whole-array product bit for bit, except
+        # that numpy computes a one-row product as a dot, which sums in
+        # another order: so no block has one row unless the input does.
+        rows = max(2, _EVAL_BLOCK_ENTRIES // self.k)
+        last = zv.size - 1
+        for start in range(0, max(last, 1), rows):
+            stop = start + rows if start + rows < last else zv.size
+            cauchy = zv[start:stop, None] - self.supports[None, :]
+            if hit_row.size:
+                in_block = slice(*np.searchsorted(hit_row, (start, stop)))
+                # w_j = 0 terms then contribute nothing
+                cauchy[hit_row[in_block] - start, hit_col[in_block]] = 1.0
+            np.divide(1.0, cauchy, out=cauchy)  # in place; rounds like 1.0 / cauchy
+            # two matrix-vector products, not one product with a two-column
+            # matrix: the latter sums in another order and moves the last bits
+            np.matmul(cauchy, wh, out=num[start:stop])
+            np.matmul(cauchy, self.weights, out=den[start:stop])
         with np.errstate(divide="ignore", invalid="ignore"):
             r = num / den
-        interp = self.weights[hit_col] != 0
-        r[hit_row[interp]] = self.values[hit_col[interp]]
         bad = den == 0
-        bad[hit_row[interp]] = False
+        if hit_row.size:
+            interp = self.weights[hit_col] != 0
+            r[hit_row[interp]] = self.values[hit_col[interp]]
+            bad[hit_row[interp]] = False
         if np.any(bad):
             where = zv[np.nonzero(bad)[0][0]]
             raise PoleAtPointError("denominator vanishes at z = %s" % where)
         if scalar_in:
             return complex(r[0])
         return r.reshape(np.shape(z))
+
+    def _support_hits(self, zv):
+        """(rows, columns) with zv[row] == supports[column], rows ascending."""
+        at = np.searchsorted(self._sorted_supports, zv)
+        hit_row = np.nonzero(self._sorted_supports.take(at, mode="clip") == zv)[0]
+        return hit_row, self._support_order[at[hit_row]]
 
 
 def num_den(weights, supports, values, z):
@@ -231,11 +272,20 @@ class Realization:
         return self.b.size
 
     def transfer(self, z):
-        """Evaluate c^T (zE - A)^{-1} b at one or more points."""
+        """Evaluate c^T (zE - A)^{-1} b at one or more points.
+
+        The pencils z_i E - A are stacked and solved together, one LAPACK
+        call per block of about 0.5 MB of pencil entries.
+        """
         zv = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
         out = np.empty(zv.size, dtype=complex)
-        for i, zi in enumerate(zv):
-            out[i] = self.c @ np.linalg.solve(zi * self.E - self.A, self.b)
+        rows = max(1, _TRANSFER_BLOCK_ENTRIES // self.order**2)
+        for start in range(0, zv.size, rows):
+            pencils = zv[start:start + rows, None, None] * self.E - self.A
+            # b as a stack of one-column matrices: numpy 1.x and 2.x read
+            # a 1-d right-hand side of a stacked solve differently
+            rhs = np.broadcast_to(self.b[:, None], (len(pencils), self.order, 1))
+            out[start:start + rows] = np.linalg.solve(pencils, rhs)[:, :, 0] @ self.c
         if np.isscalar(z) or np.shape(z) == ():
             return complex(out[0])
         return out.reshape(np.shape(z))

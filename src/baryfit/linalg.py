@@ -61,7 +61,8 @@ class LevySystem:
         return self.cauchy * self.interp_values[None, :]
 
     def numerators(self, w):
-        return self.numerator_matrix() @ w
+        """n(z_i; w) = sum_j w_j h_j/(z_i - lambda_j), without forming P."""
+        return self.cauchy @ (self.interp_values * w)
 
     def denominators(self, w):
         return self.cauchy @ w
@@ -102,6 +103,12 @@ def min_unit_norm_solution(A):
     rotation under singular-value ties); compare through ||Av|| or through
     model evaluations, never entrywise. Fewer rows than columns is legal, an
     exact null vector exists then.
+
+    Tall and square matrices, which is every Levy and SK solve on real data,
+    take the economy-size SVD: the M x M left factor of the full one is never
+    used and dominates both time and memory at M in the thousands. A wide
+    matrix needs the full Vh, because its null vectors are rows that only the
+    full decomposition returns.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[1] < 1:
@@ -111,7 +118,7 @@ def min_unit_norm_solution(A):
         v = np.zeros(k, dtype=complex)
         v[0] = 1.0
         return v
-    _, _, Vh = np.linalg.svd(A, full_matrices=True)
+    _, _, Vh = np.linalg.svd(A, full_matrices=A.shape[0] < k)
     return Vh[-1, :].conj()
 
 

@@ -86,8 +86,12 @@ def select_weights(supports, interp_values, data, w_prev_ext, cfg, prev_err=None
     )
     sk = sk_iterate(supports, interp_values, data, cfg.refine)
     err_sk = float(np.min(sk.errors))
-    w1 = wf_step(supports, interp_values, data, w_prev_ext)
-    err_w1 = system.residual_sq_sum(w1)
+    try:
+        w1 = wf_step(supports, interp_values, data, w_prev_ext)
+        err_w1 = system.residual_sq_sum(w1)
+    except NumericalError:
+        # d(z_i; w_prev_ext) = 0 at an active sample: nothing to step from
+        err_w1 = np.inf
     if err_sk < err_w1:
         run = wf_iterate(supports, interp_values, data, sk.weights, cfg.refine)
         branch = "wf-from-sk"

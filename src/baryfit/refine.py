@@ -147,7 +147,10 @@ def wf_iterate(supports, interp_values, data, w0, cfg):
 
     The pivot is chosen once from w0 (index 0 unless that entry is
     negligible) and the convergence test compares consecutive iterates after
-    renormalizing both to pivot value 1.
+    renormalizing both to pivot value 1. An iterate with infinite active
+    error (its denominator vanishes at an active sample, or the residual
+    overflows) ends the iteration: there is nothing to linearize around, and
+    the best earlier iterate is returned.
     """
     system = assemble_levy_system(
         data.active_points(), data.active_values(), supports, interp_values
@@ -159,6 +162,8 @@ def wf_iterate(supports, interp_values, data, w0, cfg):
     w_prev = w0
     converged = False
     for _ in range(cfg.p_max):
+        if not np.isfinite(errors[-1]):
+            break
         w = _wf_step_on(system, w_prev, pivot)
         iterates.append(w)
         errors.append(system.residual_sq_sum(w))

@@ -11,7 +11,7 @@ from baryfit import (
     num_den,
     realize,
 )
-from helpers import distinct_complex, random_model
+from helpers import distinct_complex, nonzero_complex, random_model
 
 
 def test_one_point_model_is_the_constant_h1():
@@ -53,6 +53,50 @@ def test_eval_zero_weight_support_drops_from_both_sums():
     # and does not interpolate h_1
     assert model(1.0) == 5.0 + 0j
     assert_allclose(model(3.0), 5.0 + 0j, rtol=1e-15)
+
+
+def _direct_eval(model, z):
+    """The barycentric quotient point by point, with the support rules."""
+    out = np.empty(z.size, dtype=complex)
+    for i, zi in enumerate(z):
+        at = np.nonzero(model.supports == zi)[0]
+        if at.size and model.weights[at[0]] != 0:
+            out[i] = model.values[at[0]]
+            continue
+        keep = model.supports != zi
+        q = model.weights[keep] / (zi - model.supports[keep])
+        out[i] = np.sum(q * model.values[keep]) / np.sum(q)
+    return out
+
+
+def test_eval_across_many_blocks_matches_the_direct_formula():
+    rng = np.random.default_rng(41)
+    # several supports share a real part, so finding hits must order by both
+    supports = np.array([0, 0.5j, -0.5j, 1, 1 + 0.5j, -1, -1 - 0.5j, 0.25, 0.25j])
+    k = supports.size
+    weights = nonzero_complex(rng, k)
+    weights[6] = 0.0
+    model = RationalModel.barycentric(
+        supports, rng.standard_normal(k) + 1j * rng.standard_normal(k), weights
+    )
+    z = distinct_complex(rng, 5000, scale=2.0)
+    # support hits early and late, the zero-weight one in a later block
+    hits = [3, 1200, 2500, 4000, 4990]
+    z[hits] = supports[[0, 2, 6, 4, 1]]
+    got = model(z)
+    expected = _direct_eval(model, z)
+    assert_array_equal(got[[3, 1200, 4000, 4990]], model.values[[0, 2, 4, 1]])
+    assert np.isfinite(got[2500])
+    assert_allclose(got, expected, rtol=1e-12)
+
+
+def test_eval_pole_in_a_later_block_names_the_point():
+    # d(z) = 1/(z-1) + 1/(z+1) vanishes at z = 0 only
+    model = RationalModel.barycentric([1.0, -1.0], [1.0, 1.0], [1.0, 1.0])
+    z = np.linspace(2.0, 3.0, 10000)
+    z[7321] = 0.0
+    with pytest.raises(PoleAtPointError, match=r"z = 0j"):
+        model(z)
 
 
 def test_constant_model_evaluates_everywhere():
@@ -210,6 +254,20 @@ def test_realize_transfer_equals_eval_at_random_points():
         expected = model(z)
         got = rom.transfer(z)
         assert_allclose(got, expected, rtol=1e-8)
+
+
+def test_realize_transfer_keeps_the_shape_of_its_input():
+    rng = np.random.default_rng(43)
+    model = random_model(rng, 6)
+    rom = realize(model)
+    z = distinct_complex(rng, 6000, scale=3.0).reshape(40, 150)
+    got = rom.transfer(z)
+    assert got.shape == z.shape
+    assert_allclose(got, model(z), rtol=1e-8)
+    scalar = rom.transfer(complex(z[3, 7]))
+    assert isinstance(scalar, complex)
+    assert_allclose(scalar, got[3, 7], rtol=1e-14)
+    assert rom.transfer(np.empty(0)).shape == (0,)
 
 
 def test_realize_rejects_constant_model():

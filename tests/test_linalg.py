@@ -99,6 +99,42 @@ def test_min_unit_norm_wide_matrix_has_null_vector():
     assert np.linalg.norm(A @ v) <= 1e-12 * np.linalg.norm(A)
 
 
+def _graded_matrix(rng, rows, cols):
+    """Complex rows x cols matrix with singular values 1 down to 1e-12."""
+    def orthonormal_columns(n, m):
+        q, _ = np.linalg.qr(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+        return q
+
+    sigma = np.logspace(0, -12, cols)
+    U = orthonormal_columns(rows, cols)
+    V = orthonormal_columns(cols, cols)
+    return (U * sigma) @ V.conj().T, sigma[-1]
+
+
+@pytest.mark.parametrize("rows, cols", [(1000, 51), (25, 25), (52, 51)])
+def test_min_unit_norm_tall_and_square_reach_smallest_singular_value(rows, cols):
+    rng = np.random.default_rng(rows + cols)
+    A, sigma_min = _graded_matrix(rng, rows, cols)
+    v = min_unit_norm_solution(A)
+    assert v.shape == (cols,)
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-14
+    # rounding in A v is of size eps * ||A||_2 = eps here
+    assert abs(np.linalg.norm(A @ v) - sigma_min) < 1e-14
+    assert abs(np.linalg.norm(A @ v) - np.linalg.svd(A, compute_uv=False)[-1]) < 1e-14
+
+
+def test_levy_system_numerators_match_the_numerator_matrix():
+    rng = np.random.default_rng(31)
+    supports, interp_values, data = random_instance(rng, 17, 400)
+    system = assemble_levy_system(data.points, data.values, supports, interp_values)
+    w = rng.standard_normal(17) + 1j * rng.standard_normal(17)
+    P = system.numerator_matrix()
+    expected = P @ w
+    # both sum the same k products; they differ only in where h_j w_j rounds
+    bound = 4 * 17 * np.finfo(float).eps * (np.abs(P) @ np.abs(w))
+    assert np.all(np.abs(system.numerators(w) - expected) <= bound)
+
+
 def test_min_unit_norm_empty_rows_returns_unit_vector():
     v = min_unit_norm_solution(np.zeros((0, 3)))
     assert abs(np.linalg.norm(v) - 1.0) < 1e-15

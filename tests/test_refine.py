@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from baryfit import (
+    NlaaaConfig,
+    NumericalError,
     RefineConfig,
     SampleSet,
     aaa_fit,
@@ -12,6 +14,7 @@ from baryfit import (
     FitConfig,
     levy_weights,
     sample_builtin,
+    select_weights,
     sk_iterate,
     wf_iterate,
     wf_step,
@@ -193,3 +196,37 @@ def test_wf_iterate_single_support_converges_to_constant_weight():
     result = wf_iterate(supports, interp, data, np.array([3.0 + 0j]), RefineConfig())
     assert result.converged
     assert result.final_weights[0] == 1.0 + 0j
+
+
+def test_wf_iterate_stops_on_a_start_whose_denominator_vanishes():
+    # d(z) = 1/(z-1) + 1/(z+1) = 0 exactly at the active sample z = 0
+    data = SampleSet([0.0, 0.5, -2.0], [1.0, 2.0, 3.0])
+    supports = np.array([1.0, -1.0], dtype=complex)
+    interp = np.array([4.0, 5.0], dtype=complex)
+    w0 = np.ones(2, dtype=complex)
+    with pytest.raises(NumericalError):
+        wf_step(supports, interp, data, w0)
+    result = wf_iterate(supports, interp, data, w0, RefineConfig())
+    assert result.errors[0] == np.inf
+    assert len(result.errors) == 1
+    assert not result.converged
+    assert_array_equal(result.weights, w0)
+
+
+def test_select_weights_survives_a_previous_model_with_a_pole_at_a_sample():
+    # the zero-extended previous weights (1, 1, 0) put d(0) = 0 on an active
+    # sample, so the one-step WF from them is undefined and must lose to SK
+    x = unit_grid(21)
+    assert x[0] == -1.0 and x[10] == 0.0 and x[20] == 1.0
+    picked = [20, 0, 15]
+    mask = np.ones(21, dtype=bool)
+    mask[picked] = False
+    work = SampleSet(x, np.abs(x) + 0.25, mask)
+    supports = work.points[picked]
+    interp = work.values[picked]
+    w_prev_ext = np.array([1.0, 1.0, 0.0], dtype=complex)
+    cfg = NlaaaConfig(max_degree=2)
+    weights, branch = select_weights(supports, interp, work, w_prev_ext, cfg)
+    assert branch == "wf-from-sk"
+    system = _system_for(supports, interp, work)
+    assert np.isfinite(system.residual_sq_sum(weights))
