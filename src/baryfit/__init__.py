@@ -5,98 +5,33 @@ greedy interpolation algorithm (AAA) and with a nonlinear least-squares
 variant that refines the weights at each degree, verifies its stationary
 points through complex-derivative identities, and converts fitted models
 into descriptor state-space form.
+
+The names below are the fitting front end; the building blocks (the
+LevySystem, the SK/WF iterations, the gradients, the file loaders) are
+imported from their modules.
 """
 
-from .aaa import FitConfig, FitTrace, TraceRecord, aaa_fit, greedy_select, initial_model, levy_weights
-from .core import (
-    NumericalError,
-    PoleAtPointError,
-    RationalModel,
-    Realization,
-    SampleSet,
-    num_den,
-    realize,
-)
-from .data import (
-    BUILTIN_FUNCTIONS,
-    MetricPair,
-    load_model,
-    load_samples,
-    metrics,
-    sample_builtin,
-    save_model,
-    save_realization,
-    save_samples,
-    save_trace,
-)
-from .gradients import (
-    denominator_variation,
-    finite_difference_gradient,
-    grad_levy,
-    grad_levy_rearranged,
-    grad_nonlinear,
-    grad_sk_fixed_point,
-    grad_sk_step,
-    grad_wf_step,
-)
-from .linalg import (
-    LevySystem,
-    assemble_levy_system,
-    build_cauchy,
-    levy_matrix,
-    min_unit_norm_solution,
-)
-from .nlaaa import NlaaaConfig, fallback_greedy, full_squared_error, nlaaa_fit, select_weights
-from .refine import RefineConfig, RefineResult, sk_iterate, wf_iterate, wf_step
+from . import aaa, core, data, gradients, linalg, nlaaa, refine
+from .aaa import FitConfig, FitTrace, TraceRecord, aaa_fit
+from .core import RationalModel, SampleSet, realize
+from .data import MetricPair, metrics, sample_builtin, save_model, save_trace
+from .nlaaa import NlaaaConfig, nlaaa_fit
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUILTIN_FUNCTIONS",
     "FitConfig",
     "FitTrace",
-    "LevySystem",
     "MetricPair",
     "NlaaaConfig",
-    "NumericalError",
-    "PoleAtPointError",
     "RationalModel",
-    "Realization",
-    "RefineConfig",
-    "RefineResult",
     "SampleSet",
     "TraceRecord",
     "aaa_fit",
-    "assemble_levy_system",
-    "build_cauchy",
-    "denominator_variation",
-    "fallback_greedy",
-    "finite_difference_gradient",
-    "full_squared_error",
-    "grad_levy",
-    "grad_levy_rearranged",
-    "grad_nonlinear",
-    "grad_sk_fixed_point",
-    "grad_sk_step",
-    "grad_wf_step",
-    "greedy_select",
-    "initial_model",
-    "levy_matrix",
-    "levy_weights",
-    "load_model",
-    "load_samples",
     "metrics",
-    "min_unit_norm_solution",
     "nlaaa_fit",
-    "num_den",
     "realize",
     "sample_builtin",
     "save_model",
-    "save_realization",
-    "save_samples",
     "save_trace",
-    "select_weights",
-    "sk_iterate",
-    "wf_iterate",
-    "wf_step",
 ]

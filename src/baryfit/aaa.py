@@ -3,7 +3,8 @@
 Each iteration promotes the worst-approximated active sample to a support
 point, then picks unit-norm weights minimizing the linearized (Levy) error
 ``sum |n(z_i) - d(z_i) H(z_i)|^2`` over the remaining active samples via the
-smallest right singular vector.
+smallest right singular vector. The loop itself, ``_greedy_fit``, is shared
+with NL-AAA, which swaps in its own index and weight choices.
 """
 
 from dataclasses import dataclass, field
@@ -67,26 +68,26 @@ def initial_model(data):
     return RationalModel.constant(np.mean(data.values))
 
 
-def active_residuals(model, data):
-    """Active indices and |r - H| there; exact poles come out as inf."""
+def active_residuals(model, data, system=None):
+    """Active indices and |r - H| there; exact poles come out as inf.
+    `system` is the model's LevySystem over the active samples of `data`
+    (the constant start model needs none)."""
     idx = data.active_indices()
-    z = data.points[idx]
     H = data.values[idx]
     if model.is_constant:
-        r = np.full(z.size, model.constant_value, dtype=complex)
+        r = np.full(idx.size, model.constant_value, dtype=complex)
     else:
-        system = assemble_levy_system(z, H, model.supports, model.values)
         r = system.rationals(model.weights)
     res = np.abs(r - H)
     return idx, np.where(np.isnan(res), np.inf, res)
 
 
-def greedy_select(model, data):
+def greedy_select(model, data, system=None):
     """Index of the active sample with the largest mismatch |r - H|.
 
-    Ties break to the lowest index.
+    Ties break to the lowest index. `system` is as for active_residuals.
     """
-    idx, res = active_residuals(model, data)
+    idx, res = active_residuals(model, data, system)
     if idx.size == 0:
         raise ValueError("no active samples left to select from")
     return int(idx[int(np.argmax(res))])
@@ -100,6 +101,53 @@ def levy_weights(supports, interp_values, data):
     return min_unit_norm_solution(levy_matrix(system))
 
 
+def _greedy_fit(data, cfg, choose_index, choose_weights):
+    """The greedy loop of AAA and NL-AAA; returns (model, trace).
+
+    Each step promotes `choose_index(model, work, system, branch)` to a
+    support (system and branch are those of the step that made the model,
+    None at the start), builds the step's LevySystem, and takes
+    `(weights, branch) = choose_weights(model, work, system)`; the first
+    step's weight is 1. A "fallback" step keeps the model's function, so its
+    metrics carry over.
+    """
+    work = SampleSet(data.points, data.values)
+    model = initial_model(work)
+    supports = np.empty(0, dtype=complex)
+    interp_values = np.empty(0, dtype=complex)
+    system = None
+    branch = None
+    trace = FitTrace()
+    reached_tol = False
+    for k in range(1, cfg.max_degree + 2):
+        if work.active_count < 2:
+            # taking another support would leave no active data to fit
+            break
+        idx = choose_index(model, work, system, branch)
+        supports = np.append(supports, work.points[idx])
+        interp_values = np.append(interp_values, work.values[idx])
+        work = work.deactivate(idx)
+        system = assemble_levy_system(
+            work.active_points(), work.active_values(), supports, interp_values
+        )
+        if k == 1:
+            w, branch = np.ones(1, dtype=complex), "levy"
+        else:
+            w, branch = choose_weights(model, work, system)
+        model = RationalModel.barycentric(supports, interp_values, w)
+        raw = system.residual_sq_sum(w)
+        if branch != "fallback":
+            m = metrics(model, data)
+        trace.records.append(
+            TraceRecord(k, k - 1, complex(supports[-1]), raw, m.l2, m.linf, branch)
+        )
+        if raw < cfg.tol:
+            reached_tol = True
+            break
+    trace.budget_exhausted = not reached_tol
+    return model, trace
+
+
 def aaa_fit(data, cfg):
     """Run AAA on a sample set.
 
@@ -110,35 +158,9 @@ def aaa_fit(data, cfg):
     """
     if data.size < 2:
         raise ValueError("AAA needs at least two samples")
-    work = SampleSet(data.points, data.values)
-    model = initial_model(work)
-    supports = np.empty(0, dtype=complex)
-    interp_values = np.empty(0, dtype=complex)
-    trace = FitTrace()
-    reached_tol = False
-    for k in range(1, cfg.max_degree + 2):
-        if work.active_count < 2:
-            # taking another support would leave no active data to fit
-            break
-        idx = greedy_select(model, work)
-        supports = np.append(supports, work.points[idx])
-        interp_values = np.append(interp_values, work.values[idx])
-        work = work.deactivate(idx)
-        system = assemble_levy_system(
-            work.active_points(), work.active_values(), supports, interp_values
-        )
-        if k == 1:
-            w = np.ones(1, dtype=complex)
-        else:
-            w = min_unit_norm_solution(levy_matrix(system))
-        model = RationalModel.barycentric(supports, interp_values, w)
-        raw = system.residual_sq_sum(w)
-        m = metrics(model, data)
-        trace.records.append(
-            TraceRecord(k, k - 1, complex(supports[-1]), raw, m.l2, m.linf, "levy")
-        )
-        if raw < cfg.tol:
-            reached_tol = True
-            break
-    trace.budget_exhausted = not reached_tol
-    return model, trace
+    return _greedy_fit(
+        data,
+        cfg,
+        lambda model, work, system, branch: greedy_select(model, work, system),
+        lambda model, work, system: (min_unit_norm_solution(levy_matrix(system)), "levy"),
+    )

@@ -17,7 +17,6 @@ __all__ = [
     "SampleSet",
     "RationalModel",
     "Realization",
-    "num_den",
     "realize",
 ]
 
@@ -230,28 +229,6 @@ class RationalModel:
         at = np.searchsorted(self._sorted_supports, zv)
         hit_row = np.nonzero(self._sorted_supports.take(at, mode="clip") == zv)[0]
         return hit_row, self._support_order[at[hit_row]]
-
-
-def num_den(weights, supports, values, z):
-    """Numerator and denominator of the barycentric form at a single point.
-
-    Returns (n, d) with n = sum_j w_j h_j/(z - lambda_j) and
-    d = sum_j w_j/(z - lambda_j). The point must not coincide with a
-    support; use the model call for that case.
-    """
-    weights = np.asarray(weights, dtype=complex)
-    supports = np.asarray(supports, dtype=complex)
-    values = np.asarray(values, dtype=complex)
-    z = complex(z)
-    diffs = z - supports
-    if np.any(diffs == 0):
-        j = int(np.nonzero(diffs == 0)[0][0])
-        raise ValueError(
-            "z coincides with support point %d; evaluate the model instead" % j
-        )
-    q = 1.0 / diffs
-    p = values * q
-    return complex(weights @ p), complex(weights @ q)
 
 
 class Realization:

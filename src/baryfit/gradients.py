@@ -2,12 +2,16 @@
 
 Every criterion here is a real-valued function of the complex weight vector,
 so its stationary points are where the Wirtinger derivative dE/dw vanishes
-(the conjugate derivative is just the conjugate). The step criteria for SK
-and WF take the reweighting denominators from a separate w_prev; at
-w = w_prev the WF step gradient reduces exactly to the gradient of the true
-nonlinear error, which is the identity that certifies WF fixed points as
-stationary points. These functions are diagnostic and test infrastructure;
-the fitting algorithms never consume them.
+(the conjugate derivative is just the conjugate). Every gradient has the
+form sum_i c_i (P - diag(a) C)[i, :] over the LevySystem's Cauchy matrix C,
+with P = C diag(h), and `_gradient` computes it: the criteria differ only in
+a (H for Levy and SK, r(w) for the true error, r(w_prev) for the WF step)
+and in c (the conjugated residual times the row weighting). The step
+criteria for SK and WF take the reweighting denominators from a separate
+w_prev; at w = w_prev the WF step gradient reduces exactly to the gradient
+of the true nonlinear error, which is the identity that certifies WF fixed
+points as stationary points. These functions are diagnostic and test
+infrastructure; the fitting algorithms never consume them.
 """
 
 import numpy as np
@@ -47,73 +51,77 @@ def _nonzero_denominators(system, w):
     return d
 
 
+def _gradient(system, a, c):
+    """sum_i c_i (P - diag(a) C)[i, :], the form of every gradient here."""
+    return (system.shifted_numerator_matrix(a) * c[:, None]).sum(axis=0)
+
+
+def _rationals(system, w):
+    """(r, d) at the active samples; d must not vanish."""
+    d = _nonzero_denominators(system, w)
+    return system.numerators(w) / d, d
+
+
+def _levy_residual(system, w):
+    """n - d H at the active samples."""
+    return system.numerators(w) - system.denominators(w) * system.data_values
+
+
+def _wf_residual(system, w, w_prev):
+    """(n - r_prev d + n_prev - d_prev H, r_prev, d_prev) of the WF step
+    linearized at w_prev."""
+    d_prev = _nonzero_denominators(system, w_prev)
+    n_prev = system.numerators(w_prev)
+    r_prev = n_prev / d_prev
+    resid = (
+        system.numerators(w)
+        - r_prev * system.denominators(w)
+        + n_prev
+        - d_prev * system.data_values
+    )
+    return resid, r_prev, d_prev
+
+
 def grad_nonlinear(supports, interp_values, data, w):
     """dE/dw of E = sum |r(z_i; w) - H(z_i)|^2 over the active samples:
     sum_i (1/d)(p - r q) conj(r - H)."""
     system = _system(supports, interp_values, data)
-    w = np.asarray(w, dtype=complex)
-    d = _nonzero_denominators(system, w)
-    r = system.numerators(w) / d
-    P = system.numerator_matrix()
-    C = system.cauchy
-    coeff = np.conj(r - system.data_values) / d
-    return ((P - r[:, None] * C) * coeff[:, None]).sum(axis=0)
+    r, d = _rationals(system, w)
+    return _gradient(system, r, np.conj(r - system.data_values) / d)
 
 
 def grad_levy(supports, interp_values, data, w):
     """dE/dw of the Levy criterion sum |n - d H|^2:
     sum_i (p - H q) conj(n - d H)."""
     system = _system(supports, interp_values, data)
-    w = np.asarray(w, dtype=complex)
-    n = system.numerators(w)
-    d = system.denominators(w)
-    H = system.data_values
-    P = system.numerator_matrix()
-    C = system.cauchy
-    coeff = np.conj(n - d * H)
-    return ((P - H[:, None] * C) * coeff[:, None]).sum(axis=0)
+    return _gradient(system, system.data_values, np.conj(_levy_residual(system, w)))
 
 
 def grad_levy_rearranged(supports, interp_values, data, w):
     """The same Levy gradient written with |d|^2 pulled out of the residual:
     sum_i |d|^2 (1/d)(p - H q) conj(r - H). Needs d != 0 at every sample."""
     system = _system(supports, interp_values, data)
-    w = np.asarray(w, dtype=complex)
-    d = _nonzero_denominators(system, w)
-    r = system.numerators(w) / d
-    P = system.numerator_matrix()
-    C = system.cauchy
-    coeff = np.abs(d) ** 2 * np.conj(r - system.data_values) / d
-    return ((P - system.data_values[:, None] * C) * coeff[:, None]).sum(axis=0)
+    r, d = _rationals(system, w)
+    H = system.data_values
+    return _gradient(system, H, np.abs(d) ** 2 * np.conj(r - H) / d)
 
 
 def grad_sk_step(supports, interp_values, data, w, w_prev):
     """dE/dw of one SK step (weighting frozen at w_prev):
     sum_i (1/|d_prev|^2)(p - H q) conj(n - H d)."""
     system = _system(supports, interp_values, data)
-    w = np.asarray(w, dtype=complex)
-    w_prev = np.asarray(w_prev, dtype=complex)
     d_prev = _nonzero_denominators(system, w_prev)
-    n = system.numerators(w)
-    d = system.denominators(w)
-    H = system.data_values
-    P = system.numerator_matrix()
-    C = system.cauchy
-    coeff = np.conj(n - H * d) / np.abs(d_prev) ** 2
-    return ((P - H[:, None] * C) * coeff[:, None]).sum(axis=0)
+    coeff = np.conj(_levy_residual(system, w)) / np.abs(d_prev) ** 2
+    return _gradient(system, system.data_values, coeff)
 
 
 def grad_sk_fixed_point(supports, interp_values, data, w):
     """The SK gradient at its fixed point (w_prev = w), simplified through
     1/d: sum_i (1/d)(p - H q) conj(r - H)."""
     system = _system(supports, interp_values, data)
-    w = np.asarray(w, dtype=complex)
-    d = _nonzero_denominators(system, w)
-    r = system.numerators(w) / d
-    P = system.numerator_matrix()
-    C = system.cauchy
-    coeff = np.conj(r - system.data_values) / d
-    return ((P - system.data_values[:, None] * C) * coeff[:, None]).sum(axis=0)
+    r, d = _rationals(system, w)
+    H = system.data_values
+    return _gradient(system, H, np.conj(r - H) / d)
 
 
 def grad_wf_step(supports, interp_values, data, w, w_prev):
@@ -123,55 +131,31 @@ def grad_wf_step(supports, interp_values, data, w, w_prev):
     At w = w_prev this equals grad_nonlinear(w) up to rounding.
     """
     system = _system(supports, interp_values, data)
-    w = np.asarray(w, dtype=complex)
-    w_prev = np.asarray(w_prev, dtype=complex)
-    d_prev = _nonzero_denominators(system, w_prev)
-    n_prev = system.numerators(w_prev)
-    r_prev = n_prev / d_prev
-    n = system.numerators(w)
-    d = system.denominators(w)
-    H = system.data_values
-    P = system.numerator_matrix()
-    C = system.cauchy
-    resid = n - r_prev * d + n_prev - d_prev * H
-    coeff = np.conj(resid) / np.abs(d_prev) ** 2
-    return ((P - r_prev[:, None] * C) * coeff[:, None]).sum(axis=0)
+    resid, r_prev, d_prev = _wf_residual(system, w, w_prev)
+    return _gradient(system, r_prev, np.conj(resid) / np.abs(d_prev) ** 2)
 
 
 def error_nonlinear(supports, interp_values, data, w):
     system = _system(supports, interp_values, data)
-    return system.residual_sq_sum(np.asarray(w, dtype=complex))
+    return system.residual_sq_sum(w)
 
 
 def error_levy(supports, interp_values, data, w):
     system = _system(supports, interp_values, data)
-    w = np.asarray(w, dtype=complex)
-    res = system.numerators(w) - system.denominators(w) * system.data_values
-    return float(np.sum(np.abs(res) ** 2))
+    return float(np.sum(np.abs(_levy_residual(system, w)) ** 2))
 
 
 def error_sk_step(supports, interp_values, data, w, w_prev):
     system = _system(supports, interp_values, data)
-    w = np.asarray(w, dtype=complex)
-    d_prev = _nonzero_denominators(system, np.asarray(w_prev, dtype=complex))
-    res = system.numerators(w) - system.denominators(w) * system.data_values
+    d_prev = _nonzero_denominators(system, w_prev)
+    res = _levy_residual(system, w)
     return float(np.sum(np.abs(res) ** 2 / np.abs(d_prev) ** 2))
 
 
 def error_wf_step(supports, interp_values, data, w, w_prev):
     system = _system(supports, interp_values, data)
-    w = np.asarray(w, dtype=complex)
-    w_prev = np.asarray(w_prev, dtype=complex)
-    d_prev = _nonzero_denominators(system, w_prev)
-    n_prev = system.numerators(w_prev)
-    r_prev = n_prev / d_prev
-    res = (
-        system.numerators(w)
-        - r_prev * system.denominators(w)
-        + n_prev
-        - d_prev * system.data_values
-    )
-    return float(np.sum(np.abs(res) ** 2 / np.abs(d_prev) ** 2))
+    resid, _, d_prev = _wf_residual(system, w, w_prev)
+    return float(np.sum(np.abs(resid) ** 2 / np.abs(d_prev) ** 2))
 
 
 def finite_difference_gradient(error_fn, w, rel_step=1e-6):

@@ -4,7 +4,7 @@ Everything here works on plain complex arrays: the Cauchy matrix over the
 active samples, the Levy (Loewner-type) matrix, the homogeneous unit-norm
 minimizer via SVD, and the pivoted weighted least-squares solve used by the
 WF iteration. Problem sizes are desk scale, so dense LAPACK kernels are the
-right tool.
+right tool. The fits build one :class:`LevySystem` per greedy step.
 """
 
 from dataclasses import dataclass
@@ -42,23 +42,32 @@ def build_cauchy(active_points, supports):
 
 @dataclass(frozen=True)
 class LevySystem:
-    """Assembled matrices for one fitting step over the active samples.
+    """Assembled matrices for one fitting step over the active samples; build
+    it with :func:`assemble_levy_system`.
 
     Attributes:
         cauchy: (M-k, k) Cauchy matrix over active points and supports.
         interp_values: length-k values h_j at the supports.
         data_values: length-(M-k) data values H(z_i) at the active points.
         active_points: the z_i backing the rows.
+        supports: the k support points lambda_j backing the columns.
     """
 
     cauchy: np.ndarray
     interp_values: np.ndarray
     data_values: np.ndarray
     active_points: np.ndarray
+    supports: np.ndarray
 
     def numerator_matrix(self):
         """Matrix P with P[i, j] = h_j/(z_i - lambda_j), so n(z_i; w) = (Pw)_i."""
         return self.cauchy * self.interp_values[None, :]
+
+    def shifted_numerator_matrix(self, a):
+        """P - diag(a) C, with entries (h_j - a_i)/(z_i - lambda_j): the
+        derivative of n(z_i; w) - a_i d(z_i; w) in w, which the WF step solves
+        with and every criterion gradient contracts with its residuals."""
+        return self.numerator_matrix() - a[:, None] * self.cauchy
 
     def numerators(self, w):
         """n(z_i; w) = sum_j w_j h_j/(z_i - lambda_j), without forming P."""
@@ -80,13 +89,14 @@ class LevySystem:
 
 
 def assemble_levy_system(active_points, active_values, supports, interp_values):
+    """The LevySystem of the given supports over the given active samples."""
     z = np.asarray(active_points, dtype=complex)
     H = np.asarray(active_values, dtype=complex)
     lam = np.asarray(supports, dtype=complex)
     h = np.asarray(interp_values, dtype=complex)
     if z.size != H.size or lam.size != h.size:
         raise ValueError("point and value arrays must pair up in length")
-    return LevySystem(build_cauchy(z, lam), h, H, z)
+    return LevySystem(build_cauchy(z, lam), h, H, z, lam)
 
 
 def levy_matrix(system):

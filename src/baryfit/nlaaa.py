@@ -1,23 +1,22 @@
 """NL-AAA: greedy interpolation with nonlinear least-squares weight refinement.
 
-Each step extends the support set greedily like AAA, then picks new weights by
-comparing an SK run against a single WF step seeded with the previous weights
-(extended by a zero for the new support), running the full WF iteration from
-the better of the two, and keeping the previous model (zero weight on the new
-support) whenever nothing beats it on the full data set. That last fallback
-makes the reported full-data error provably non-increasing; the step after a
-fallback swaps the greedy selection for a probabilistic or relative-error
-variant so the same support choice cannot stall the iteration twice.
+NL-AAA is the greedy loop of AAA (``aaa._greedy_fit``) with other weights:
+on the step's LevySystem it compares an SK run against a single WF step
+seeded with the previous weights (extended by a zero for the new support),
+runs the full WF iteration from the better of the two, and keeps the
+previous model (zero weight on the new support) whenever nothing beats it on
+the full data set. That last fallback makes the reported full-data error
+provably non-increasing; the step after a fallback swaps the greedy
+selection for a probabilistic or relative-error variant so the same support
+choice cannot stall the iteration twice.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aaa import FitTrace, TraceRecord, active_residuals, greedy_select, initial_model
-from .core import NumericalError, PoleAtPointError, RationalModel, SampleSet
-from .data import metrics
-from .linalg import assemble_levy_system
+from .aaa import FitConfig, _greedy_fit, active_residuals, greedy_select
+from .core import NumericalError, PoleAtPointError, RationalModel
 from .refine import RefineConfig, sk_iterate, wf_iterate, wf_step
 
 __all__ = [
@@ -31,18 +30,15 @@ FALLBACK_MODES = ("probabilistic", "relative")
 
 
 @dataclass(frozen=True)
-class NlaaaConfig:
-    max_degree: int
-    tol: float = 1e-12
+class NlaaaConfig(FitConfig):
+    """The stopping controls of AAA plus the refinement and fallback settings."""
+
     refine: RefineConfig = field(default_factory=RefineConfig)
     fallback_mode: str = "probabilistic"
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        if not self.tol >= 0:
-            raise ValueError("tol must be >= 0")
+        super().__post_init__()
         if self.fallback_mode not in FALLBACK_MODES:
             raise ValueError(
                 "fallback_mode must be one of %s" % (FALLBACK_MODES,)
@@ -62,14 +58,16 @@ def full_squared_error(supports, interp_values, weights, data):
     return np.inf if np.isnan(total) else total
 
 
-def select_weights(supports, interp_values, data, w_prev_ext, cfg, prev_err=None):
+def select_weights(system, data, w_prev_ext, cfg, prev_err=None):
     """Pick the weight vector for one NL-AAA step.
 
-    Runs SK, takes one WF step from w_prev_ext, compares their raw active
-    squared errors, and runs the full WF iteration from the better
-    initializer. The winning iterate must strictly improve the full-data
-    squared error of w_prev_ext (the previous model); otherwise w_prev_ext is
-    kept and the branch tag reports the fallback.
+    Runs SK on the step's LevySystem, takes one WF step from w_prev_ext,
+    compares their raw active squared errors, and runs the full WF iteration
+    from the better initializer. The winning iterate must strictly improve
+    the full-data squared error of w_prev_ext (the previous model); otherwise
+    w_prev_ext is kept and the branch tag reports the fallback. Returns
+    (weights, branch, err), where err is the full-data squared error of the
+    returned weights over all samples of `data`.
 
     `prev_err`, when given, is the recorded full-data error of the model
     w_prev_ext reproduces. The candidate must then beat both it and the
@@ -81,40 +79,37 @@ def select_weights(supports, interp_values, data, w_prev_ext, cfg, prev_err=None
     greedy without any real progress.
     """
     w_prev_ext = np.asarray(w_prev_ext, dtype=complex)
-    system = assemble_levy_system(
-        data.active_points(), data.active_values(), supports, interp_values
-    )
-    sk = sk_iterate(supports, interp_values, data, cfg.refine)
+    sk = sk_iterate(system, cfg.refine)
     err_sk = float(np.min(sk.errors))
     try:
-        w1 = wf_step(supports, interp_values, data, w_prev_ext)
-        err_w1 = system.residual_sq_sum(w1)
+        err_w1 = system.residual_sq_sum(wf_step(system, w_prev_ext))
     except NumericalError:
         # d(z_i; w_prev_ext) = 0 at an active sample: nothing to step from
         err_w1 = np.inf
     if err_sk < err_w1:
-        run = wf_iterate(supports, interp_values, data, sk.weights, cfg.refine)
+        run = wf_iterate(system, sk.weights, cfg.refine)
         branch = "wf-from-sk"
     else:
-        run = wf_iterate(supports, interp_values, data, w_prev_ext, cfg.refine)
+        run = wf_iterate(system, w_prev_ext, cfg.refine)
         branch = "wf-from-prev"
+    supports, interp_values = system.supports, system.interp_values
     candidate_err = full_squared_error(supports, interp_values, run.weights, data)
-    reference = full_squared_error(supports, interp_values, w_prev_ext, data)
-    if prev_err is not None:
-        reference = min(reference, prev_err)
+    prev_ext_err = full_squared_error(supports, interp_values, w_prev_ext, data)
+    reference = prev_ext_err if prev_err is None else min(prev_ext_err, prev_err)
     if candidate_err < reference:
-        return run.weights, branch
-    return w_prev_ext, "fallback"
+        return run.weights, branch, candidate_err
+    return w_prev_ext, "fallback", prev_ext_err
 
 
-def fallback_greedy(model, data, mode, rng):
+def fallback_greedy(model, data, mode, rng, system=None):
     """Alternative support selection used on the step after a fallback.
 
     Probabilistic mode draws an active index with probability proportional to
     |r - H| (uniform when all residuals vanish); relative mode takes the
-    argmax of |r - H|/|H| over active samples with H != 0.
+    argmax of |r - H|/|H| over active samples with H != 0. `system` is as for
+    aaa.active_residuals.
     """
-    idx, res = active_residuals(model, data)
+    idx, res = active_residuals(model, data, system)
     if idx.size == 0:
         raise ValueError("no active samples left to select from")
     if mode == "probabilistic":
@@ -145,56 +140,23 @@ def nlaaa_fit(data, cfg):
     """
     if data.size < 2:
         raise ValueError("NL-AAA needs at least two samples")
-    work = SampleSet(data.points, data.values)
-    model = initial_model(work)
     rng = np.random.default_rng(cfg.rng_seed)
-    supports = np.empty(0, dtype=complex)
-    interp_values = np.empty(0, dtype=complex)
-    weights = None
-    trace = FitTrace()
-    use_fallback_greedy = False
-    reached_tol = False
-    full_err = None
-    full_metrics = None
-    for k in range(1, cfg.max_degree + 2):
-        if work.active_count < 2:
-            break
-        if use_fallback_greedy:
-            idx = fallback_greedy(model, work, cfg.fallback_mode, rng)
-        else:
-            idx = greedy_select(model, work)
-        use_fallback_greedy = False
-        supports = np.append(supports, work.points[idx])
-        interp_values = np.append(interp_values, work.values[idx])
-        work = work.deactivate(idx)
-        if k == 1:
-            weights = np.ones(1, dtype=complex)
-            branch = "levy"
-        else:
-            w_prev_ext = np.append(weights, 0.0)
-            weights, branch = select_weights(
-                supports, interp_values, work, w_prev_ext, cfg, prev_err=full_err
-            )
-            if branch == "fallback":
-                use_fallback_greedy = True
-        model = RationalModel.barycentric(supports, interp_values, weights)
-        system = assemble_levy_system(
-            work.active_points(), work.active_values(), supports, interp_values
-        )
-        raw = system.residual_sq_sum(weights)
+    full_err = None  # full-data squared error of the last accepted model
+
+    def choose_index(model, work, system, branch):
         if branch == "fallback":
-            # the model is unchanged as a function, so its full-data metrics
-            # are the ones already on record
-            m = full_metrics
-        else:
-            m = metrics(model, data)
-            full_err = full_squared_error(supports, interp_values, weights, work)
-            full_metrics = m
-        trace.records.append(
-            TraceRecord(k, k - 1, complex(supports[-1]), raw, m.l2, m.linf, branch)
-        )
-        if raw < cfg.tol:
-            reached_tol = True
-            break
-    trace.budget_exhausted = not reached_tol
-    return model, trace
+            return fallback_greedy(model, work, cfg.fallback_mode, rng, system)
+        return greedy_select(model, work, system)
+
+    def choose_weights(model, work, system):
+        nonlocal full_err
+        if full_err is None:
+            # the first step's model, whose weight no selection chose
+            full_err = full_squared_error(model.supports, model.values, model.weights, work)
+        w_prev_ext = np.append(model.weights, 0.0)
+        weights, branch, err = select_weights(system, work, w_prev_ext, cfg, prev_err=full_err)
+        if branch != "fallback":
+            full_err = err
+        return weights, branch
+
+    return _greedy_fit(data, cfg, choose_index, choose_weights)

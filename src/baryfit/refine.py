@@ -1,11 +1,11 @@
 """Inner weight-refinement iterations: Sanathanan-Koerner and Whitfield.
 
-Both work on a fixed support set and reweight the active-sample residuals by
-the previous iterate's denominator magnitudes. SK repeats the homogeneous
-unit-norm solve; WF solves a Gauss-Newton-style linearization of the rational
-map with the pivot weight pinned to 1. Neither iteration is guaranteed to
-converge monotonically, so both record the raw active squared error of every
-iterate and return the best one.
+Both work on the LevySystem of a fixed support set and reweight the
+active-sample residuals by the previous iterate's denominator magnitudes.
+SK repeats the homogeneous unit-norm solve; WF solves a Gauss-Newton-style
+linearization of the rational map with the pivot weight pinned to 1.
+Neither iteration is guaranteed to converge monotonically, so both record
+the raw active squared error of every iterate and return the best one.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import NumericalError
 from .linalg import (
-    assemble_levy_system,
     denominator_weighting,
     levy_matrix,
     min_unit_norm_solution,
@@ -67,15 +66,12 @@ def _phase_aligned_diff(w, w_prev):
     return float(np.linalg.norm(c * w - w_prev))
 
 
-def sk_iterate(supports, interp_values, data, cfg):
+def sk_iterate(system, cfg):
     """Iteratively reweighted Levy solves (d^(0) = 1, so step one is Levy).
 
     Stops early when consecutive unit-norm weight vectors agree to tol_sk
     after phase alignment; always returns the best-error iterate.
     """
-    system = assemble_levy_system(
-        data.active_points(), data.active_values(), supports, interp_values
-    )
     L = levy_matrix(system)
     w_prev = np.zeros(system.interp_values.size, dtype=complex)
     dvals = np.ones(system.data_values.size, dtype=complex)
@@ -106,7 +102,18 @@ def _choose_pivot(w0):
     return 0
 
 
-def _wf_step_on(system, w_prev, pivot):
+def wf_step(system, w_prev, pivot=None):
+    """One linearized least-squares step from w_prev, weight `pivot` pinned to 1.
+
+    The coefficient matrix has entries h_j/(z_i - lambda_j) -
+    r(z_i; w_prev)/(z_i - lambda_j), the right-hand side is
+    -n(z_i; w_prev) + d(z_i; w_prev) H(z_i), and rows are weighted by
+    1/|d(z_i; w_prev)|. The pivot defaults to index 0, or to the largest
+    entry of w_prev when entry 0 is negligible.
+    """
+    w_prev = np.asarray(w_prev, dtype=complex)
+    if pivot is None:
+        pivot = _choose_pivot(w_prev)
     d_prev = system.denominators(w_prev)
     exact_zero = np.nonzero(d_prev == 0)[0]
     if exact_zero.size:
@@ -115,25 +122,9 @@ def _wf_step_on(system, w_prev, pivot):
             % system.active_points[exact_zero[0]]
         )
     n_prev = system.numerators(w_prev)
-    r_prev = n_prev / d_prev
-    F = system.numerator_matrix() - r_prev[:, None] * system.cauchy
+    F = system.shifted_numerator_matrix(n_prev / d_prev)
     b = -n_prev + d_prev * system.data_values
     return pivoted_weighted_lsq(denominator_weighting(d_prev), F, b, pivot)
-
-
-def wf_step(supports, interp_values, data, w_prev):
-    """One linearized least-squares step from w_prev, pivot weight pinned to 1.
-
-    The coefficient matrix has entries h_j/(z_i - lambda_j) -
-    r(z_i; w_prev)/(z_i - lambda_j), the right-hand side is
-    -n(z_i; w_prev) + d(z_i; w_prev) H(z_i), and rows are weighted by
-    1/|d(z_i; w_prev)|.
-    """
-    system = assemble_levy_system(
-        data.active_points(), data.active_values(), supports, interp_values
-    )
-    w_prev = np.asarray(w_prev, dtype=complex)
-    return _wf_step_on(system, w_prev, _choose_pivot(w_prev))
 
 
 def _pivot_normalized_diff(w, w_prev, pivot):
@@ -142,7 +133,7 @@ def _pivot_normalized_diff(w, w_prev, pivot):
     return float(np.linalg.norm(w / w[pivot] - w_prev / w_prev[pivot]))
 
 
-def wf_iterate(supports, interp_values, data, w0, cfg):
+def wf_iterate(system, w0, cfg):
     """Repeated WF steps from w0; error of w0 itself is recorded as entry 0.
 
     The pivot is chosen once from w0 (index 0 unless that entry is
@@ -152,9 +143,6 @@ def wf_iterate(supports, interp_values, data, w0, cfg):
     overflows) ends the iteration: there is nothing to linearize around, and
     the best earlier iterate is returned.
     """
-    system = assemble_levy_system(
-        data.active_points(), data.active_values(), supports, interp_values
-    )
     w0 = np.asarray(w0, dtype=complex)
     pivot = _choose_pivot(w0)
     iterates = [w0]
@@ -164,7 +152,7 @@ def wf_iterate(supports, interp_values, data, w0, cfg):
     for _ in range(cfg.p_max):
         if not np.isfinite(errors[-1]):
             break
-        w = _wf_step_on(system, w_prev, pivot)
+        w = wf_step(system, w_prev, pivot)
         iterates.append(w)
         errors.append(system.residual_sq_sum(w))
         if _pivot_normalized_diff(w, w_prev, pivot) < cfg.tol_wf:

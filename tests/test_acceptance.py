@@ -14,31 +14,28 @@ from numpy.testing import assert_allclose, assert_array_equal
 from baryfit import (
     FitConfig,
     NlaaaConfig,
-    RefineConfig,
     SampleSet,
     aaa_fit,
-    assemble_levy_system,
-    denominator_variation,
-    finite_difference_gradient,
-    grad_nonlinear,
-    grad_levy,
-    grad_sk_step,
-    grad_wf_step,
-    levy_weights,
-    load_samples,
     nlaaa_fit,
     realize,
     sample_builtin,
-    save_samples,
-    sk_iterate,
-    wf_iterate,
 )
+from baryfit.aaa import levy_weights
+from baryfit.data import load_samples, save_samples
 from baryfit.gradients import (
+    denominator_variation,
     error_levy,
     error_nonlinear,
     error_sk_step,
     error_wf_step,
+    finite_difference_gradient,
+    grad_levy,
+    grad_nonlinear,
+    grad_sk_step,
+    grad_wf_step,
 )
+from baryfit.linalg import assemble_levy_system
+from baryfit.refine import RefineConfig, sk_iterate, wf_iterate
 from helpers import nonzero_complex, random_instance, random_model, rational_samples
 
 _DEG50 = {}
@@ -164,7 +161,10 @@ def test_criterion_5_gradient_identities_on_random_instances():
         worst_wf = max(worst_wf, dev)
         assert dev < 1e-13
         # one SK pass is exactly the Levy solve
-        one = sk_iterate(supports, interp, data, RefineConfig(p_max=1, tol_sk=0.0))
+        one = sk_iterate(
+            assemble_levy_system(data.active_points(), data.active_values(), supports, interp),
+            RefineConfig(p_max=1, tol_sk=0.0),
+        )
         w_levy = levy_weights(supports, interp, data)
         probes = rng.standard_normal(100) + 1j * rng.standard_normal(100)
         probes = probes[np.abs(probes[:, None] - supports[None, :]).min(axis=1) > 1e-6]
@@ -203,7 +203,13 @@ def test_criterion_6_converged_wf_runs_are_stationary():
         H = model(points) + 0.01 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
         data = SampleSet(points, H)
         w0 = levy_weights(model.supports, model.values, data)
-        run = wf_iterate(model.supports, model.values, data, w0, cfg)
+        run = wf_iterate(
+            assemble_levy_system(
+                data.active_points(), data.active_values(), model.supports, model.values
+            ),
+            w0,
+            cfg,
+        )
         if not run.converged:
             continue
         mags = np.abs(w0)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from baryfit import RationalModel, cli, load_model, load_samples, save_model, save_samples
-from baryfit.data import SAMPLE_HEADER
+from baryfit import RationalModel, cli, save_model
+from baryfit.data import SAMPLE_HEADER, load_model, load_samples, save_samples
 from helpers import rational_samples
 
 

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from baryfit import (
-    PoleAtPointError,
-    RationalModel,
-    SampleSet,
-    num_den,
-    realize,
-)
+from baryfit import RationalModel, SampleSet, realize
+from baryfit.core import PoleAtPointError
 from helpers import distinct_complex, nonzero_complex, random_model
 
 
@@ -147,26 +142,6 @@ def test_expansion_gives_degree_k_minus_1_polynomial_ratio():
         z = distinct_complex(rng, 20, scale=2.0)
         expected = np.polyval(num, z) / np.polyval(den, z)
         assert_allclose(model(z), expected, rtol=1e-8)
-
-
-def test_num_den_single_support_hand_values():
-    n, d = num_den([1.0], [0.0], [5.0], 2.0)
-    assert n == 2.5 + 0j and d == 0.5 + 0j
-
-
-def test_num_den_exhibits_zero_denominator_at_non_support():
-    n, d = num_den([1.0, 1.0], [1.0, -1.0], [2.0, 4.0], 0.0)
-    assert n == 2.0 + 0j and d == 0.0 + 0j
-
-
-def test_num_den_zero_weights_give_zero():
-    n, d = num_den([0.0, 0.0], [1.0, -1.0], [2.0, 4.0], 0.5)
-    assert n == 0j and d == 0j
-
-
-def test_num_den_rejects_support_coincidence():
-    with pytest.raises(ValueError):
-        num_den([1.0], [1.0], [2.0], 1.0)
 
 
 def test_sample_set_basic_accessors():

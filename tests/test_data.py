@@ -9,18 +9,21 @@ from baryfit import (
     RationalModel,
     SampleSet,
     TraceRecord,
-    load_model,
-    load_samples,
     metrics,
     realize,
     sample_builtin,
     save_model,
-    save_realization,
-    save_samples,
     save_trace,
 )
 from baryfit.core import NumericalError
-from baryfit.data import SAMPLE_HEADER, TRACE_HEADER
+from baryfit.data import (
+    SAMPLE_HEADER,
+    TRACE_HEADER,
+    load_model,
+    load_samples,
+    save_realization,
+    save_samples,
+)
 from helpers import random_model
 
 

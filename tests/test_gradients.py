@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from baryfit import (
-    assemble_levy_system,
+from baryfit import SampleSet
+from baryfit.aaa import levy_weights
+from baryfit.core import NumericalError
+from baryfit.gradients import (
     denominator_variation,
+    error_levy,
+    error_nonlinear,
+    error_sk_step,
+    error_wf_step,
     finite_difference_gradient,
     grad_levy,
     grad_levy_rearranged,
@@ -15,16 +21,8 @@ from baryfit import (
     grad_sk_fixed_point,
     grad_sk_step,
     grad_wf_step,
-    levy_weights,
-    SampleSet,
 )
-from baryfit.core import NumericalError
-from baryfit.gradients import (
-    error_levy,
-    error_nonlinear,
-    error_sk_step,
-    error_wf_step,
-)
+from baryfit.linalg import assemble_levy_system
 from helpers import nonzero_complex, random_instance, unit_grid
 
 

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from baryfit import assemble_levy_system, build_cauchy, levy_matrix, min_unit_norm_solution
-from baryfit.linalg import denominator_weighting, pivoted_weighted_lsq
+from baryfit.linalg import (
+    assemble_levy_system,
+    build_cauchy,
+    denominator_weighting,
+    levy_matrix,
+    min_unit_norm_solution,
+    pivoted_weighted_lsq,
+)
 from helpers import random_instance
 
 

@@ -1,21 +1,25 @@
 """NL-AAA: candidate selection, fallback greedy modes, and the full loop."""
 
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from baryfit import (
+    FitConfig,
     NlaaaConfig,
     RationalModel,
     SampleSet,
-    fallback_greedy,
-    full_squared_error,
-    levy_weights,
+    aaa_fit,
     nlaaa_fit,
     sample_builtin,
-    select_weights,
 )
+from baryfit import linalg
+from baryfit.aaa import levy_weights
 from baryfit.core import NumericalError
+from baryfit.linalg import assemble_levy_system
+from baryfit.nlaaa import fallback_greedy, full_squared_error, select_weights
 from helpers import rational_samples, unit_grid
 
 BRANCHES = {"levy", "wf-from-sk", "wf-from-prev", "fallback"}
@@ -73,13 +77,54 @@ def test_select_weights_never_worsens_an_exact_previous_model():
     prev_err = full_squared_error(supports, interp, w_prev_ext, data)
     assert prev_err < 1e-20
 
-    weights, branch = select_weights(
-        supports, interp, data, w_prev_ext, NlaaaConfig(max_degree=5)
-    )
+    system = assemble_levy_system(data.active_points(), data.active_values(), supports, interp)
+    weights, branch, _ = select_weights(system, data, w_prev_ext, NlaaaConfig(max_degree=5))
     assert branch in BRANCHES - {"levy"}
     err = full_squared_error(supports, interp, weights, data)
     assert err <= prev_err
     assert err < 1e-20
+
+
+def test_select_weights_returns_the_full_error_of_the_weights_it_returns():
+    data = sample_builtin("relu", 101)
+    hold = [0, 100, 50, 75]
+    supports, interp = data.points[hold], data.values[hold]
+    mask = np.ones(data.size, dtype=bool)
+    mask[hold[:3]] = False
+    w_prev_ext = np.append(
+        levy_weights(supports[:3], interp[:3], SampleSet(data.points, data.values, mask)), 0.0
+    )
+    mask[hold] = False
+    work = SampleSet(data.points, data.values, mask)
+    system = assemble_levy_system(work.active_points(), work.active_values(), supports, interp)
+    # a recorded error of 0 cannot be beaten, so it forces the fallback
+    for prev_err, accepted in ((None, True), (0.0, False)):
+        weights, branch, err = select_weights(
+            system, work, w_prev_ext, NlaaaConfig(max_degree=5), prev_err=prev_err
+        )
+        assert (branch != "fallback") == accepted
+        assert err == full_squared_error(supports, interp, weights, work)
+
+
+def test_each_fit_step_assembles_one_system(monkeypatch):
+    original = linalg.assemble_levy_system
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    # the fits import the name, so replace it wherever a module binds it
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "baryfit" and vars(module).get("assemble_levy_system") is original:
+            monkeypatch.setattr(module, "assemble_levy_system", counting)
+    data = sample_builtin("relu", 501)
+    for fit, cfg in ((aaa_fit, FitConfig(max_degree=14, tol=0.0)),
+                     (nlaaa_fit, NlaaaConfig(max_degree=14, tol=0.0))):
+        calls.clear()
+        _, trace = fit(data, cfg)
+        assert len(trace.records) == 15
+        assert len(calls) == len(trace.records)
 
 
 def test_fallback_greedy_probabilistic_matches_residual_distribution():

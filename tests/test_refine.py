@@ -4,22 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from baryfit import (
-    NlaaaConfig,
-    NumericalError,
-    RefineConfig,
-    SampleSet,
-    aaa_fit,
-    assemble_levy_system,
-    FitConfig,
-    levy_weights,
-    sample_builtin,
-    select_weights,
-    sk_iterate,
-    wf_iterate,
-    wf_step,
-)
+from baryfit import FitConfig, NlaaaConfig, SampleSet, aaa_fit, sample_builtin
+from baryfit.aaa import levy_weights
+from baryfit.core import NumericalError
 from baryfit.gradients import error_wf_step
+from baryfit.linalg import assemble_levy_system
+from baryfit.nlaaa import select_weights
+from baryfit.refine import RefineConfig, sk_iterate, wf_iterate, wf_step
 from helpers import distinct_complex, random_instance, rational_samples, unit_grid
 
 
@@ -52,7 +43,7 @@ def test_refine_config_validation():
 def test_sk_first_iterate_is_the_levy_solution():
     rng = np.random.default_rng(51)
     supports, interp, data = random_instance(rng, 3, 12)
-    result = sk_iterate(supports, interp, data, RefineConfig(p_max=1))
+    result = sk_iterate(_system_for(supports, interp, data), RefineConfig(p_max=1))
     w_levy = levy_weights(supports, interp, data)
     system = _system_for(supports, interp, data)
     probes = distinct_complex(rng, 100, scale=2.0)
@@ -66,13 +57,13 @@ def test_sk_first_iterate_is_the_levy_solution():
 def test_sk_cannot_converge_on_the_first_iterate():
     rng = np.random.default_rng(53)
     supports, interp, data = random_instance(rng, 3, 10)
-    result = sk_iterate(supports, interp, data, RefineConfig(p_max=5))
+    result = sk_iterate(_system_for(supports, interp, data), RefineConfig(p_max=5))
     assert len(result.errors) >= 2
 
 
 def test_sk_exact_data_converges_at_second_iterate():
     supports, interp, data = _exact_instance()
-    result = sk_iterate(supports, interp, data, RefineConfig())
+    result = sk_iterate(_system_for(supports, interp, data), RefineConfig())
     assert result.errors[0] < 1e-20
     assert result.converged
     assert len(result.errors) == 2
@@ -80,7 +71,7 @@ def test_sk_exact_data_converges_at_second_iterate():
 
 def test_sk_constant_data_finishes_fast_with_zero_error():
     data = SampleSet([0.5, 1.5, 2.5, 3.5], [3.0, 3.0, 3.0, 3.0], [True, True, True, False])
-    result = sk_iterate([3.5], [3.0], data, RefineConfig())
+    result = sk_iterate(_system_for([3.5], [3.0], data), RefineConfig())
     assert result.errors[0] < 1e-25
     assert result.converged
     assert len(result.errors) <= 2
@@ -94,7 +85,7 @@ def test_sk_returns_the_best_recorded_iterate():
     work = SampleSet(data.points, data.values, mask)
     # interpolated values aligned with the support order
     interp = np.array([data.values[np.nonzero(data.points == s)[0][0]] for s in supports])
-    result = sk_iterate(supports, interp, work, RefineConfig(p_max=15))
+    result = sk_iterate(_system_for(supports, interp, work), RefineConfig(p_max=15))
     system = _system_for(supports, interp, work)
     assert result.best_index == int(np.argmin(result.errors))
     assert_allclose(
@@ -108,7 +99,7 @@ def test_sk_returns_the_best_recorded_iterate():
 def test_wf_step_single_support_returns_one():
     rng = np.random.default_rng(59)
     supports, interp, data = random_instance(rng, 1, 6)
-    w = wf_step(supports, interp, data, np.array([2.0 - 1j]))
+    w = wf_step(_system_for(supports, interp, data), np.array([2.0 - 1j]))
     assert w.shape == (1,) and w[0] == 1.0 + 0j
 
 
@@ -116,7 +107,7 @@ def test_wf_step_rejects_all_zero_weights():
     rng = np.random.default_rng(61)
     supports, interp, data = random_instance(rng, 2, 6)
     with pytest.raises(ValueError):
-        wf_step(supports, interp, data, np.zeros(2))
+        wf_step(_system_for(supports, interp, data), np.zeros(2))
 
 
 def test_wf_step_zero_residual_weights_are_a_fixed_point():
@@ -125,7 +116,7 @@ def test_wf_step_zero_residual_weights_are_a_fixed_point():
     # recover the exact weights from the Levy null vector
     w_exact = levy_weights(supports, interp, data)
     assert system.residual_sq_sum(w_exact) < 1e-20
-    w_next = wf_step(supports, interp, data, w_exact)
+    w_next = wf_step(_system_for(supports, interp, data), w_exact)
     assert_allclose(
         system.rationals(w_next), system.rationals(w_exact), rtol=1e-8
     )
@@ -134,7 +125,7 @@ def test_wf_step_zero_residual_weights_are_a_fixed_point():
 def test_wf_step_pivots_on_largest_entry_when_first_weight_vanishes():
     rng = np.random.default_rng(67)
     supports, interp, data = random_instance(rng, 2, 8)
-    w = wf_step(supports, interp, data, np.array([0.0, 1.0 + 0j]))
+    w = wf_step(_system_for(supports, interp, data), np.array([0.0, 1.0 + 0j]))
     assert w[1] == 1.0 + 0j
 
 
@@ -142,7 +133,7 @@ def test_wf_step_minimizes_the_linearized_objective():
     rng = np.random.default_rng(71)
     supports, interp, data = random_instance(rng, 2, 9)
     w_prev = np.array([1.0 + 0.3j, -0.7 + 0.2j])
-    w = wf_step(supports, interp, data, w_prev)
+    w = wf_step(_system_for(supports, interp, data), w_prev)
     best = error_wf_step(supports, interp, data, w, w_prev)
     for _ in range(1000):
         u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -156,7 +147,7 @@ def test_wf_step_minimizes_the_linearized_objective():
 def test_wf_iterate_exact_start_converges_immediately():
     supports, interp, data = _exact_instance()
     w0 = levy_weights(supports, interp, data)
-    result = wf_iterate(supports, interp, data, w0, RefineConfig())
+    result = wf_iterate(_system_for(supports, interp, data), w0, RefineConfig())
     assert result.converged
     assert len(result.errors) == 2
     assert np.all(result.errors < 1e-18)
@@ -166,7 +157,7 @@ def test_wf_iterate_pmax_one_records_start_plus_one_step():
     rng = np.random.default_rng(73)
     supports, interp, data = random_instance(rng, 3, 10)
     w0 = np.ones(3, dtype=complex)
-    result = wf_iterate(supports, interp, data, w0, RefineConfig(p_max=1))
+    result = wf_iterate(_system_for(supports, interp, data), w0, RefineConfig(p_max=1))
     assert len(result.errors) == 2
     assert not result.converged
 
@@ -180,8 +171,8 @@ def test_wf_iterate_never_returns_worse_than_its_start():
     )
     mask = ~np.isin(data.points, supports)
     work = SampleSet(data.points, data.values, mask)
-    sk = sk_iterate(supports, interp, work, RefineConfig())
-    result = wf_iterate(supports, interp, work, sk.weights, RefineConfig())
+    sk = sk_iterate(_system_for(supports, interp, work), RefineConfig())
+    result = wf_iterate(_system_for(supports, interp, work), sk.weights, RefineConfig())
     system = _system_for(supports, interp, work)
     assert_allclose(result.errors[0], system.residual_sq_sum(sk.weights), rtol=1e-12)
     best = float(np.min(result.errors))
@@ -193,7 +184,7 @@ def test_wf_iterate_never_returns_worse_than_its_start():
 def test_wf_iterate_single_support_converges_to_constant_weight():
     rng = np.random.default_rng(79)
     supports, interp, data = random_instance(rng, 1, 5)
-    result = wf_iterate(supports, interp, data, np.array([3.0 + 0j]), RefineConfig())
+    result = wf_iterate(_system_for(supports, interp, data), np.array([3.0 + 0j]), RefineConfig())
     assert result.converged
     assert result.final_weights[0] == 1.0 + 0j
 
@@ -205,8 +196,8 @@ def test_wf_iterate_stops_on_a_start_whose_denominator_vanishes():
     interp = np.array([4.0, 5.0], dtype=complex)
     w0 = np.ones(2, dtype=complex)
     with pytest.raises(NumericalError):
-        wf_step(supports, interp, data, w0)
-    result = wf_iterate(supports, interp, data, w0, RefineConfig())
+        wf_step(_system_for(supports, interp, data), w0)
+    result = wf_iterate(_system_for(supports, interp, data), w0, RefineConfig())
     assert result.errors[0] == np.inf
     assert len(result.errors) == 1
     assert not result.converged
@@ -226,7 +217,7 @@ def test_select_weights_survives_a_previous_model_with_a_pole_at_a_sample():
     interp = work.values[picked]
     w_prev_ext = np.array([1.0, 1.0, 0.0], dtype=complex)
     cfg = NlaaaConfig(max_degree=2)
-    weights, branch = select_weights(supports, interp, work, w_prev_ext, cfg)
+    weights, branch, _ = select_weights(_system_for(supports, interp, work), work, w_prev_ext, cfg)
     assert branch == "wf-from-sk"
     system = _system_for(supports, interp, work)
     assert np.isfinite(system.residual_sq_sum(weights))
