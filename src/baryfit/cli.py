@@ -8,7 +8,6 @@ data error, 3 numerical failure.
 """
 
 import argparse
-import csv
 import logging
 import os
 import sys
@@ -22,6 +21,7 @@ from .data import (
     SAMPLE_HEADER,
     load_model,
     load_samples,
+    read_complex_rows,
     sample_builtin,
     save_model,
     save_realization,
@@ -107,41 +107,9 @@ def cmd_fit(args):
     return 0
 
 
-def _load_points(path):
-    """Points for eval: either a bare z_re,z_im CSV or a full sample CSV."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = [c.strip() for c in next(reader)]
-        except StopIteration:
-            raise ValueError("%s: empty points file" % path)
-        if header == SAMPLE_HEADER:
-            width = 4
-        elif header == SAMPLE_HEADER[:2]:
-            width = 2
-        else:
-            raise ValueError(
-                "%s: expected header %s or %s"
-                % (path, ",".join(SAMPLE_HEADER[:2]), ",".join(SAMPLE_HEADER))
-            )
-        points = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise ValueError("%s: line %d: expected %d columns" % (path, lineno, width))
-            try:
-                points.append(complex(float(row[0]), float(row[1])))
-            except ValueError:
-                raise ValueError("%s: line %d: non-numeric entry" % (path, lineno)) from None
-    if not points:
-        raise ValueError("%s: no data rows" % path)
-    return np.asarray(points, dtype=complex)
-
-
 def cmd_eval(args):
     model = load_model(args.model)
-    points = _load_points(args.points)
+    points = read_complex_rows(args.points, [SAMPLE_HEADER[:2], SAMPLE_HEADER])[0][:, 0]
     values = np.atleast_1d(model(points))
     for v in values:
         print("%s,%s" % (_FMT % v.real, _FMT % v.imag))

@@ -108,42 +108,50 @@ def save_samples(path, data):
             )
 
 
-def load_samples(path):
-    """Read a sample CSV; duplicate points and malformed rows are rejected
-    with the offending file line numbers."""
-    points, values = [], []
+def read_complex_rows(path, headers):
+    """(values, lines) of a CSV of re,im column pairs under one of `headers`:
+    values[i, j] is column pair j of data row i, lines[i] its file line.
+
+    Blank lines are skipped; an empty file, another header, a row of another
+    width, a non-numeric entry or no data rows raise ValueError.
+    """
+    expected = " or ".join(",".join(h) for h in headers)
+    rows, lines = [], []
     with open(path, newline="") as f:
         reader = csv.reader(f)
         try:
-            header = next(reader)
+            header = [c.strip() for c in next(reader)]
         except StopIteration:
-            raise ValueError("%s: empty file, expected header %s" % (path, SAMPLE_HEADER))
-        if [c.strip() for c in header] != SAMPLE_HEADER:
-            raise ValueError(
-                "%s: expected header %s, got %s" % (path, ",".join(SAMPLE_HEADER), header)
-            )
+            raise ValueError("%s: empty file, expected header %s" % (path, expected))
+        if header not in headers:
+            raise ValueError("%s: expected header %s, got %s" % (path, expected, header))
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 4:
-                raise ValueError("%s: line %d: expected 4 columns, got %d" % (path, lineno, len(row)))
+            if len(row) != len(header):
+                raise ValueError("%s: line %d: expected %d columns, got %d"
+                                 % (path, lineno, len(header), len(row)))
             try:
-                z_re, z_im, h_re, h_im = (float(c) for c in row)
+                rows.append([float(c) for c in row])
             except ValueError:
                 raise ValueError("%s: line %d: non-numeric entry in %s" % (path, lineno, row)) from None
-            points.append(complex(z_re, z_im))
-            values.append(complex(h_re, h_im))
-    if not points:
+            lines.append(lineno)
+    if not rows:
         raise ValueError("%s: no data rows" % path)
-    pts = np.asarray(points, dtype=complex)
+    # (re, im) float pairs are the memory layout of complex128
+    return np.asarray(rows, dtype=float).view(complex), np.asarray(lines)
+
+
+def load_samples(path):
+    """Read a sample CSV; duplicate points are rejected with their file lines."""
+    values, lines = read_complex_rows(path, [SAMPLE_HEADER])
+    pts = values[:, 0]
     _, first, counts = np.unique(pts, return_index=True, return_counts=True)
     if np.any(counts > 1):
-        lines = []
-        for idx in first[counts > 1]:
-            dup_rows = np.nonzero(pts == pts[idx])[0] + 2
-            lines.append("z = %s at lines %s" % (pts[idx], [int(r) for r in dup_rows]))
-        raise ValueError("%s: duplicate sample points: %s" % (path, "; ".join(lines)))
-    return SampleSet(pts, np.asarray(values, dtype=complex))
+        dups = ["z = %s at lines %s" % (pts[i], [int(n) for n in lines[pts == pts[i]]])
+                for i in first[counts > 1]]
+        raise ValueError("%s: duplicate sample points: %s" % (path, "; ".join(dups)))
+    return SampleSet(pts, values[:, 1])
 
 
 def save_trace(path, trace):

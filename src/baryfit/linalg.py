@@ -4,7 +4,8 @@ Everything here works on plain complex arrays: the Cauchy matrix over the
 active samples, the Levy (Loewner-type) matrix, the homogeneous unit-norm
 minimizer via SVD, and the pivoted weighted least-squares solve used by the
 WF iteration. Problem sizes are desk scale, so dense LAPACK kernels are the
-right tool. The fits build one :class:`LevySystem` per greedy step.
+right tool. The fits build one :class:`LevySystem` per greedy step. Tall
+homogeneous solves decompose their R factor, bitwise as zgesdd itself would.
 """
 
 from dataclasses import dataclass
@@ -67,7 +68,9 @@ class LevySystem:
         """P - diag(a) C, with entries (h_j - a_i)/(z_i - lambda_j): the
         derivative of n(z_i; w) - a_i d(z_i; w) in w, which the WF step solves
         with and every criterion gradient contracts with its residuals."""
-        return self.numerator_matrix() - a[:, None] * self.cauchy
+        F = self.numerator_matrix()
+        F -= a[:, None] * self.cauchy
+        return F
 
     def numerators(self, w):
         """n(z_i; w) = sum_j w_j h_j/(z_i - lambda_j), without forming P."""
@@ -83,9 +86,15 @@ class LevySystem:
 
     def residual_sq_sum(self, w):
         """Raw active squared error sum |r(z_i; w) - H(z_i)|^2 (inf if a pole hits)."""
-        res = self.rationals(w) - self.data_values
-        total = float(np.sum(np.abs(res) ** 2))
-        return np.inf if np.isnan(total) else total
+        return self.evaluate(w)[2]
+
+    def evaluate(self, w):
+        """(n(z_i; w), d(z_i; w), residual_sq_sum(w)) from one product each."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            n, d = self.numerators(w), self.denominators(w)
+            r = n / d
+        total = float(np.sum(np.abs(r - self.data_values) ** 2))
+        return n, d, (np.inf if np.isnan(total) else total)
 
 
 def assemble_levy_system(active_points, active_values, supports, interp_values):
@@ -119,6 +128,12 @@ def min_unit_norm_solution(A):
     used and dominates both time and memory at M in the thousands. A wide
     matrix needs the full Vh, because its null vectors are rows that only the
     full decomposition returns.
+
+    From M >= floor(17k/9) rows on (zgesdd's own crossover, MNTHR1), zgesdd
+    runs geqrf and decomposes the k x k R before forming the M x k U dropped
+    here. Decomposing that R directly gives bitwise the same vector (OpenBLAS
+    0.3.31, every M in (k, 4k) for k in {1, 2, 3, 5, 9, 17, 25, 51}). It pays
+    from M k^2 of about 4096 on; below, the extra qr call costs more than U.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[1] < 1:
@@ -128,6 +143,8 @@ def min_unit_norm_solution(A):
         v = np.zeros(k, dtype=complex)
         v[0] = 1.0
         return v
+    if A.shape[0] >= (17 * k) // 9 and A.shape[0] * k * k >= 4096:
+        A = np.linalg.qr(A, mode="r")
     _, _, Vh = np.linalg.svd(A, full_matrices=A.shape[0] < k)
     return Vh[-1, :].conj()
 
@@ -168,7 +185,8 @@ def pivoted_weighted_lsq(row_weights, F, b, pivot=0):
     if k == 1:
         return w
     free = np.arange(k) != pivot
-    lhs = d[:, None] * F[:, free]
+    lhs = F[:, free]
+    lhs *= d[:, None]
     rhs = d * (b - F[:, pivot])
     sol, _, _, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
     w[free] = sol

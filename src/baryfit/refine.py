@@ -6,6 +6,7 @@ SK repeats the homogeneous unit-norm solve; WF solves a Gauss-Newton-style
 linearization of the rational map with the pivot weight pinned to 1.
 Neither iteration is guaranteed to converge monotonically, so both record
 the raw active squared error of every iterate and return the best one.
+Each iterate's error and the next step share one evaluation of n and d.
 """
 
 from dataclasses import dataclass
@@ -79,15 +80,14 @@ def sk_iterate(system, cfg):
     errors = []
     converged = False
     for _ in range(cfg.p_max):
-        row_weights = denominator_weighting(dvals)
-        w = min_unit_norm_solution(L * row_weights[:, None])
+        w = min_unit_norm_solution(L * denominator_weighting(dvals)[:, None])
+        _, dvals, err = system.evaluate(w)
         iterates.append(w)
-        errors.append(system.residual_sq_sum(w))
+        errors.append(err)
         if _phase_aligned_diff(w, w_prev) < cfg.tol_sk:
             converged = True
             break
         w_prev = w
-        dvals = system.denominators(w)
     best = int(np.argmin(errors))
     return RefineResult(iterates[best], np.asarray(errors), converged, best, iterates[-1])
 
@@ -114,14 +114,18 @@ def wf_step(system, w_prev, pivot=None):
     w_prev = np.asarray(w_prev, dtype=complex)
     if pivot is None:
         pivot = _choose_pivot(w_prev)
-    d_prev = system.denominators(w_prev)
+    n_prev, d_prev = system.numerators(w_prev), system.denominators(w_prev)
+    return _linearized_step(system, n_prev, d_prev, pivot)
+
+
+def _linearized_step(system, n_prev, d_prev, pivot):
+    """:func:`wf_step` from n(z_i; w_prev) and d(z_i; w_prev)."""
     exact_zero = np.nonzero(d_prev == 0)[0]
     if exact_zero.size:
         raise NumericalError(
             "denominator of the current weights vanishes at sample z = %s"
             % system.active_points[exact_zero[0]]
         )
-    n_prev = system.numerators(w_prev)
     F = system.shifted_numerator_matrix(n_prev / d_prev)
     b = -n_prev + d_prev * system.data_values
     return pivoted_weighted_lsq(denominator_weighting(d_prev), F, b, pivot)
@@ -145,16 +149,17 @@ def wf_iterate(system, w0, cfg):
     """
     w0 = np.asarray(w0, dtype=complex)
     pivot = _choose_pivot(w0)
-    iterates = [w0]
-    errors = [system.residual_sq_sum(w0)]
+    n, d, err = system.evaluate(w0)
+    iterates, errors = [w0], [err]
     w_prev = w0
     converged = False
     for _ in range(cfg.p_max):
         if not np.isfinite(errors[-1]):
             break
-        w = wf_step(system, w_prev, pivot)
+        w = _linearized_step(system, n, d, pivot)
+        n, d, err = system.evaluate(w)
         iterates.append(w)
-        errors.append(system.residual_sq_sum(w))
+        errors.append(err)
         if _pivot_normalized_diff(w, w_prev, pivot) < cfg.tol_wf:
             converged = True
             break

@@ -146,6 +146,15 @@ def test_eval_rejects_foreign_point_headers(tmp_path):
     assert cli.main(["eval", "--model", str(model_path), "--points", str(bad)]) == 2
 
 
+def test_eval_rejects_rows_of_another_width(tmp_path, caplog):
+    model_path = tmp_path / "model.json"
+    save_model(model_path, RationalModel.constant(1.0))
+    bad = tmp_path / "wide.csv"
+    bad.write_text(",".join(SAMPLE_HEADER[:2]) + "\n0,0\n1,0,2\n")
+    assert cli.main(["eval", "--model", str(model_path), "--points", str(bad)]) == 2
+    assert "line 3: expected 2 columns" in caplog.text
+
+
 # ----------------------------------------------------------------- realize
 
 

@@ -137,6 +137,13 @@ def test_duplicate_points_report_their_lines(tmp_path):
     assert "2" in str(err.value) and "4" in str(err.value)
 
 
+def test_duplicate_report_counts_blank_lines(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text(",".join(SAMPLE_HEADER) + "\n0,0,1,0\n\n1,0,1,0\n0,0,2,0\n")
+    with pytest.raises(ValueError, match=r"at lines \[2, 5\]"):
+        load_samples(path)
+
+
 def test_malformed_rows_report_their_lines(tmp_path):
     short = tmp_path / "short.csv"
     short.write_text(",".join(SAMPLE_HEADER) + "\n1,0,1,0\n1,2,3\n")

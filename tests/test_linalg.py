@@ -117,7 +117,13 @@ def _graded_matrix(rng, rows, cols):
     return (U * sigma) @ V.conj().T, sigma[-1]
 
 
-@pytest.mark.parametrize("rows, cols", [(1000, 51), (25, 25), (52, 51)])
+# the R-factor path runs from floor(17k/9) rows on, 96 at k = 51 and 17 at
+# k = 9, once rows * k^2 >= 4096, 51 rows at k = 9; each pair straddles a bound
+@pytest.mark.parametrize(
+    "rows, cols",
+    [(1000, 51), (25, 25), (52, 51), (96, 51), (95, 51), (17, 9), (16, 9), (51, 9),
+     (50, 9)],
+)
 def test_min_unit_norm_tall_and_square_reach_smallest_singular_value(rows, cols):
     rng = np.random.default_rng(rows + cols)
     A, sigma_min = _graded_matrix(rng, rows, cols)

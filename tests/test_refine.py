@@ -8,7 +8,7 @@ from baryfit import FitConfig, NlaaaConfig, SampleSet, aaa_fit, sample_builtin
 from baryfit.aaa import levy_weights
 from baryfit.core import NumericalError
 from baryfit.gradients import error_wf_step
-from baryfit.linalg import assemble_levy_system
+from baryfit.linalg import LevySystem, assemble_levy_system
 from baryfit.nlaaa import select_weights
 from baryfit.refine import RefineConfig, sk_iterate, wf_iterate, wf_step
 from helpers import distinct_complex, random_instance, rational_samples, unit_grid
@@ -221,3 +221,27 @@ def test_select_weights_survives_a_previous_model_with_a_pole_at_a_sample():
     assert branch == "wf-from-sk"
     system = _system_for(supports, interp, work)
     assert np.isfinite(system.residual_sq_sum(weights))
+
+
+def test_each_iterate_evaluates_numerators_and_denominators_once(monkeypatch):
+    calls = []
+    for name in ("numerators", "denominators"):
+        def counted(self, w, original=getattr(LevySystem, name)):
+            calls.append(original.__name__)
+            return original(self, w)
+        monkeypatch.setattr(LevySystem, name, counted)
+    rng = np.random.default_rng(83)
+    supports, interp, data = random_instance(rng, 6, 120)
+    system = _system_for(supports, interp, data)
+    cfg = RefineConfig(p_max=5, tol_sk=0.0, tol_wf=0.0)  # no early stop
+    sk = sk_iterate(system, cfg)
+    assert len(sk.errors) == 5
+    assert len(calls) <= 2 * len(sk.errors)
+    calls.clear()
+    wf = wf_iterate(system, sk.weights, cfg)
+    assert len(wf.errors) == 6
+    assert len(calls) <= 2 * len(wf.errors)
+    # the iteration steps from the n and d of its error evaluation, which
+    # are those wf_step computes afresh
+    one = wf_iterate(system, sk.weights, RefineConfig(p_max=1, tol_wf=0.0))
+    assert_array_equal(one.final_weights, wf_step(system, sk.weights))
