@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import RationalModel, SampleSet
 from .data import metrics
-from .linalg import assemble_levy_system, levy_matrix, min_unit_norm_solution
+from .linalg import levy_matrix, min_unit_norm_solution
 
 __all__ = [
     "FitConfig",
@@ -95,10 +95,7 @@ def greedy_select(model, data, system=None):
 
 def levy_weights(supports, interp_values, data):
     """Unit-norm weights minimizing ||(GC - CH) w|| over the active samples."""
-    system = assemble_levy_system(
-        data.active_points(), data.active_values(), supports, interp_values
-    )
-    return min_unit_norm_solution(levy_matrix(system))
+    return min_unit_norm_solution(levy_matrix(data.levy_system(supports, interp_values)))
 
 
 def _greedy_fit(data, cfg, choose_index, choose_weights):
@@ -127,9 +124,7 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
         supports = np.append(supports, work.points[idx])
         interp_values = np.append(interp_values, work.values[idx])
         work = work.deactivate(idx)
-        system = assemble_levy_system(
-            work.active_points(), work.active_values(), supports, interp_values
-        )
+        system = work.levy_system(supports, interp_values)
         if k == 1:
             w, branch = np.ones(1, dtype=complex), "levy"
         else:

@@ -66,6 +66,11 @@ def cmd_sample(args):
     return 0
 
 
+def _given(**options):
+    """The options whose flag was given; the configs supply the defaults."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
 def cmd_fit(args):
     samples = load_samples(args.data)
     nlaaa_only = {
@@ -79,20 +84,14 @@ def cmd_fit(args):
         stray = sorted(name for name, value in nlaaa_only.items() if value is not None)
         if stray:
             raise ValueError("only valid with --algo nlaaa: %s" % ", ".join(stray))
-        cfg = FitConfig(max_degree=args.max_degree, tol=args.tol)
+        cfg = FitConfig(max_degree=args.max_degree, **_given(tol=args.tol))
         model, trace = aaa_fit(samples, cfg)
     else:
-        refine = RefineConfig(
-            p_max=args.pmax if args.pmax is not None else 20,
-            tol_sk=args.tol_sk if args.tol_sk is not None else 1e-8,
-            tol_wf=args.tol_wf if args.tol_wf is not None else 1e-8,
-        )
+        refine = RefineConfig(**_given(p_max=args.pmax, tol_sk=args.tol_sk, tol_wf=args.tol_wf))
         cfg = NlaaaConfig(
             max_degree=args.max_degree,
-            tol=args.tol,
             refine=refine,
-            fallback_mode=args.fallback if args.fallback is not None else "probabilistic",
-            rng_seed=args.seed if args.seed is not None else 0,
+            **_given(tol=args.tol, fallback_mode=args.fallback, rng_seed=args.seed),
         )
         model, trace = nlaaa_fit(samples, cfg)
     if args.model:
@@ -182,9 +181,10 @@ def cmd_gradcheck(args):
 
 def cmd_compare(args):
     samples = load_samples(args.data)
-    _, aaa_trace = aaa_fit(samples, FitConfig(max_degree=args.max_degree, tol=args.tol))
+    tol = _given(tol=args.tol)
+    _, aaa_trace = aaa_fit(samples, FitConfig(max_degree=args.max_degree, **tol))
     _, nlaaa_trace = nlaaa_fit(
-        samples, NlaaaConfig(max_degree=args.max_degree, tol=args.tol, rng_seed=args.seed)
+        samples, NlaaaConfig(max_degree=args.max_degree, **tol, **_given(rng_seed=args.seed))
     )
     os.makedirs(args.out, exist_ok=True)
     save_trace(os.path.join(args.out, "aaa_trace.csv"), aaa_trace)
@@ -215,6 +215,7 @@ def _build_parser():
         "least-squares refinement.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tol_help = "raw active squared error stop (default %g)" % FitConfig.tol
 
     p = sub.add_parser("sample", help="write a built-in test function to a sample CSV")
     p.add_argument("--fn", required=True, choices=sorted(BUILTIN_FUNCTIONS))
@@ -225,15 +226,18 @@ def _build_parser():
     p = sub.add_parser("fit", help="fit a rational model to a sample CSV")
     p.add_argument("--algo", required=True, choices=["aaa", "nlaaa"])
     p.add_argument("--data", required=True)
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="raw active squared error stop (default 1e-12)")
+    p.add_argument("--tol", type=float, help=tol_help)
     p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--pmax", type=int, help="nlaaa: refinement iteration cap (default 20)")
-    p.add_argument("--tol-sk", type=float, help="nlaaa: SK weight-change stop (default 1e-8)")
-    p.add_argument("--tol-wf", type=float, help="nlaaa: WF weight-change stop (default 1e-8)")
+    p.add_argument("--pmax", type=int,
+                   help="nlaaa: refinement iteration cap (default %d)" % RefineConfig.p_max)
+    p.add_argument("--tol-sk", type=float,
+                   help="nlaaa: SK weight-change stop (default %g)" % RefineConfig.tol_sk)
+    p.add_argument("--tol-wf", type=float,
+                   help="nlaaa: WF weight-change stop (default %g)" % RefineConfig.tol_wf)
     p.add_argument("--fallback", choices=list(FALLBACK_MODES),
-                   help="nlaaa: greedy mode after a fallback step (default probabilistic)")
-    p.add_argument("--seed", type=int, help="nlaaa: RNG seed (default 0)")
+                   help="nlaaa: greedy mode after a fallback step (default %s)"
+                   % NlaaaConfig.fallback_mode)
+    p.add_argument("--seed", type=int, help="nlaaa: RNG seed (default %d)" % NlaaaConfig.rng_seed)
     p.add_argument("--model", help="write the fitted model JSON here")
     p.add_argument("--trace", help="write the per-iteration trace CSV here")
     p.set_defaults(func=cmd_fit)
@@ -258,8 +262,9 @@ def _build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, help=tol_help)
+    p.add_argument("--seed", type=int,
+                   help="NL-AAA RNG seed (default %d)" % NlaaaConfig.rng_seed)
     p.set_defaults(func=cmd_compare)
 
     return parser

@@ -11,6 +11,8 @@ The degree-0 variant is a plain constant. Sample data lives in immutable
 
 import numpy as np
 
+from .linalg import assemble_levy_system
+
 __all__ = [
     "NumericalError",
     "PoleAtPointError",
@@ -54,6 +56,12 @@ def _check_distinct(points, name):
 class SampleSet:
     """Immutable data set {(z_i, H(z_i))} with an active/interpolated split.
 
+    A set remembers one LevySystem, the last one :meth:`levy_system` built,
+    keyed on the exact bytes of its support and value arrays. The set never
+    changes, so neither do its active samples, and equal keys give the same
+    system; a gradient check, which evaluates its criteria thousands of times
+    over one support set, assembles the Cauchy matrix once.
+
     Args:
         points: complex sample locations z_i, pairwise distinct.
         values: complex sample values H(z_i), same length.
@@ -80,6 +88,7 @@ class SampleSet:
                 raise ValueError("active_mask length does not match points")
         mask.flags.writeable = False
         self.active_mask = mask
+        self._levy = None  # (key, LevySystem) of the last levy_system call
 
     @property
     def size(self):
@@ -97,6 +106,25 @@ class SampleSet:
 
     def active_values(self):
         return self.values[self.active_mask]
+
+    def levy_system(self, supports, interp_values):
+        """The LevySystem of these supports over the active samples.
+
+        Built once per support set: a call with the same support and value
+        bytes as the last one returns the same object. The system keeps
+        read-only copies of the two arrays, never the caller's.
+        """
+        lam = np.asarray(supports, dtype=complex)
+        h = np.asarray(interp_values, dtype=complex)
+        key = (lam.tobytes(), h.tobytes())
+        if self._levy is None or self._levy[0] != key:
+            system = assemble_levy_system(
+                self.active_points(), self.active_values(), lam.copy(), h.copy()
+            )
+            for arr in vars(system).values():
+                arr.flags.writeable = False
+            self._levy = (key, system)
+        return self._levy[1]
 
     def deactivate(self, index):
         """Return a new SampleSet with sample `index` marked interpolated."""

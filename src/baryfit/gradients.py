@@ -10,14 +10,17 @@ and in c (the conjugated residual times the row weighting). The step
 criteria for SK and WF take the reweighting denominators from a separate
 w_prev; at w = w_prev the WF step gradient reduces exactly to the gradient
 of the true nonlinear error, which is the identity that certifies WF fixed
-points as stationary points. These functions are diagnostic and test
-infrastructure; the fitting algorithms never consume them.
+points as stationary points. Each function takes its system from
+``data.levy_system``, so the gradients and the many error evaluations of a
+finite-difference check on one sample set and support set share one
+assembly. These functions are diagnostic and test infrastructure; the
+fitting algorithms never consume them.
 """
 
 import numpy as np
 
 from .core import NumericalError
-from .linalg import assemble_levy_system, build_cauchy
+from .linalg import build_cauchy
 
 __all__ = [
     "grad_nonlinear",
@@ -33,12 +36,6 @@ __all__ = [
     "finite_difference_gradient",
     "denominator_variation",
 ]
-
-
-def _system(supports, interp_values, data):
-    return assemble_levy_system(
-        data.active_points(), data.active_values(), supports, interp_values
-    )
 
 
 def _nonzero_denominators(system, w):
@@ -85,7 +82,7 @@ def _wf_residual(system, w, w_prev):
 def grad_nonlinear(supports, interp_values, data, w):
     """dE/dw of E = sum |r(z_i; w) - H(z_i)|^2 over the active samples:
     sum_i (1/d)(p - r q) conj(r - H)."""
-    system = _system(supports, interp_values, data)
+    system = data.levy_system(supports, interp_values)
     r, d = _rationals(system, w)
     return _gradient(system, r, np.conj(r - system.data_values) / d)
 
@@ -93,14 +90,14 @@ def grad_nonlinear(supports, interp_values, data, w):
 def grad_levy(supports, interp_values, data, w):
     """dE/dw of the Levy criterion sum |n - d H|^2:
     sum_i (p - H q) conj(n - d H)."""
-    system = _system(supports, interp_values, data)
+    system = data.levy_system(supports, interp_values)
     return _gradient(system, system.data_values, np.conj(_levy_residual(system, w)))
 
 
 def grad_levy_rearranged(supports, interp_values, data, w):
     """The same Levy gradient written with |d|^2 pulled out of the residual:
     sum_i |d|^2 (1/d)(p - H q) conj(r - H). Needs d != 0 at every sample."""
-    system = _system(supports, interp_values, data)
+    system = data.levy_system(supports, interp_values)
     r, d = _rationals(system, w)
     H = system.data_values
     return _gradient(system, H, np.abs(d) ** 2 * np.conj(r - H) / d)
@@ -109,7 +106,7 @@ def grad_levy_rearranged(supports, interp_values, data, w):
 def grad_sk_step(supports, interp_values, data, w, w_prev):
     """dE/dw of one SK step (weighting frozen at w_prev):
     sum_i (1/|d_prev|^2)(p - H q) conj(n - H d)."""
-    system = _system(supports, interp_values, data)
+    system = data.levy_system(supports, interp_values)
     d_prev = _nonzero_denominators(system, w_prev)
     coeff = np.conj(_levy_residual(system, w)) / np.abs(d_prev) ** 2
     return _gradient(system, system.data_values, coeff)
@@ -118,7 +115,7 @@ def grad_sk_step(supports, interp_values, data, w, w_prev):
 def grad_sk_fixed_point(supports, interp_values, data, w):
     """The SK gradient at its fixed point (w_prev = w), simplified through
     1/d: sum_i (1/d)(p - H q) conj(r - H)."""
-    system = _system(supports, interp_values, data)
+    system = data.levy_system(supports, interp_values)
     r, d = _rationals(system, w)
     H = system.data_values
     return _gradient(system, H, np.conj(r - H) / d)
@@ -130,30 +127,30 @@ def grad_wf_step(supports, interp_values, data, w, w_prev):
 
     At w = w_prev this equals grad_nonlinear(w) up to rounding.
     """
-    system = _system(supports, interp_values, data)
+    system = data.levy_system(supports, interp_values)
     resid, r_prev, d_prev = _wf_residual(system, w, w_prev)
     return _gradient(system, r_prev, np.conj(resid) / np.abs(d_prev) ** 2)
 
 
 def error_nonlinear(supports, interp_values, data, w):
-    system = _system(supports, interp_values, data)
+    system = data.levy_system(supports, interp_values)
     return system.residual_sq_sum(w)
 
 
 def error_levy(supports, interp_values, data, w):
-    system = _system(supports, interp_values, data)
+    system = data.levy_system(supports, interp_values)
     return float(np.sum(np.abs(_levy_residual(system, w)) ** 2))
 
 
 def error_sk_step(supports, interp_values, data, w, w_prev):
-    system = _system(supports, interp_values, data)
+    system = data.levy_system(supports, interp_values)
     d_prev = _nonzero_denominators(system, w_prev)
     res = _levy_residual(system, w)
     return float(np.sum(np.abs(res) ** 2 / np.abs(d_prev) ** 2))
 
 
 def error_wf_step(supports, interp_values, data, w, w_prev):
-    system = _system(supports, interp_values, data)
+    system = data.levy_system(supports, interp_values)
     resid, _, d_prev = _wf_residual(system, w, w_prev)
     return float(np.sum(np.abs(resid) ** 2 / np.abs(d_prev) ** 2))
 

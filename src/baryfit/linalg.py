@@ -44,7 +44,8 @@ def build_cauchy(active_points, supports):
 @dataclass(frozen=True)
 class LevySystem:
     """Assembled matrices for one fitting step over the active samples; build
-    it with :func:`assemble_levy_system`.
+    it with :func:`assemble_levy_system`, or take a sample set's own with
+    ``SampleSet.levy_system``.
 
     Attributes:
         cauchy: (M-k, k) Cauchy matrix over active points and supports.

@@ -17,7 +17,7 @@ import numpy as np
 
 from .aaa import FitConfig, _greedy_fit, active_residuals, greedy_select
 from .core import NumericalError, PoleAtPointError, RationalModel
-from .refine import RefineConfig, sk_iterate, wf_iterate, wf_step
+from .refine import RefineConfig, _wf_iterate_after, sk_iterate, wf_iterate, wf_step
 
 __all__ = [
     "NlaaaConfig",
@@ -82,15 +82,19 @@ def select_weights(system, data, w_prev_ext, cfg, prev_err=None):
     sk = sk_iterate(system, cfg.refine)
     err_sk = float(np.min(sk.errors))
     try:
-        err_w1 = system.residual_sq_sum(wf_step(system, w_prev_ext))
+        w1 = wf_step(system, w_prev_ext)
     except NumericalError:
         # d(z_i; w_prev_ext) = 0 at an active sample: nothing to step from
-        err_w1 = np.inf
+        first, err_w1 = None, np.inf
+    else:
+        first = (w1, system.evaluate(w1))
+        err_w1 = first[1][2]
     if err_sk < err_w1:
         run = wf_iterate(system, sk.weights, cfg.refine)
         branch = "wf-from-sk"
     else:
-        run = wf_iterate(system, w_prev_ext, cfg.refine)
+        # the WF run from w_prev_ext starts with the step just taken
+        run = _wf_iterate_after(system, w_prev_ext, first, cfg.refine)
         branch = "wf-from-prev"
     supports, interp_values = system.supports, system.interp_values
     candidate_err = full_squared_error(supports, interp_values, run.weights, data)

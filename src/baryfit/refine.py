@@ -6,7 +6,8 @@ SK repeats the homogeneous unit-norm solve; WF solves a Gauss-Newton-style
 linearization of the rational map with the pivot weight pinned to 1.
 Neither iteration is guaranteed to converge monotonically, so both record
 the raw active squared error of every iterate and return the best one.
-Each iterate's error and the next step share one evaluation of n and d.
+Each iterate's error and the next step share one evaluation of n and d,
+and a WF run can continue from a first step its caller already took.
 """
 
 from dataclasses import dataclass
@@ -147,22 +148,29 @@ def wf_iterate(system, w0, cfg):
     overflows) ends the iteration: there is nothing to linearize around, and
     the best earlier iterate is returned.
     """
+    return _wf_iterate_after(system, w0, None, cfg)
+
+
+def _wf_iterate_after(system, w0, first, cfg):
+    """:func:`wf_iterate` from w0, with `first` = (w1, (n, d, err)) the
+    :func:`wf_step` from w0 and its :meth:`LevySystem.evaluate` when the
+    caller already made them (None to compute them here)."""
     w0 = np.asarray(w0, dtype=complex)
     pivot = _choose_pivot(w0)
     n, d, err = system.evaluate(w0)
     iterates, errors = [w0], [err]
-    w_prev = w0
     converged = False
-    for _ in range(cfg.p_max):
-        if not np.isfinite(errors[-1]):
-            break
-        w = _linearized_step(system, n, d, pivot)
-        n, d, err = system.evaluate(w)
+    while len(iterates) <= cfg.p_max and np.isfinite(errors[-1]):
+        if first is None:
+            w = _linearized_step(system, n, d, pivot)
+            n, d, err = system.evaluate(w)
+        else:
+            w, (n, d, err) = first
+            first = None
         iterates.append(w)
         errors.append(err)
-        if _pivot_normalized_diff(w, w_prev, pivot) < cfg.tol_wf:
+        if _pivot_normalized_diff(w, iterates[-2], pivot) < cfg.tol_wf:
             converged = True
             break
-        w_prev = w
     best = int(np.argmin(errors))
     return RefineResult(iterates[best], np.asarray(errors), converged, best, iterates[-1])

@@ -1,9 +1,12 @@
 """Shared builders for the test suite: random models, random fitting
-instances, and rational test data with poles kept away from [-1, 1]."""
+instances, rational test data with poles kept away from [-1, 1], and a
+counter of Cauchy assemblies."""
+
+import sys
 
 import numpy as np
 
-from baryfit import RationalModel, SampleSet, sample_builtin
+from baryfit import RationalModel, SampleSet, linalg, sample_builtin
 
 
 def unit_grid(count):
@@ -79,3 +82,21 @@ def rational_samples(rng, degree, count):
     fn, _ = rational_with_clear_poles(rng, degree)
     x = unit_grid(count)
     return SampleSet(x, fn(x))
+
+
+def count_assemblies(monkeypatch):
+    """Record the arguments of every assemble_levy_system call the package
+    makes from now on; returns the list they are appended to."""
+    original = linalg.assemble_levy_system
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    # the package imports the name, so replace it wherever a module binds it
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "baryfit" and vars(module).get(
+                "assemble_levy_system") is original:
+            monkeypatch.setattr(module, "assemble_levy_system", counting)
+    return calls

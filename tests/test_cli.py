@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from baryfit import RationalModel, cli, save_model
+from baryfit import FitConfig, NlaaaConfig, RationalModel, cli, save_model
 from baryfit.data import SAMPLE_HEADER, load_model, load_samples, save_samples
+from baryfit.refine import RefineConfig
 from helpers import rational_samples
 
 
@@ -74,6 +75,42 @@ def test_fit_rejects_refinement_flags_for_plain_aaa(tmp_path, capsys):
                      "--max-degree", "4", "--pmax", "5"])
     assert code == 2
     capsys.readouterr()
+
+
+def _capture_configs(monkeypatch, name):
+    """Record the config of every call of cli.<name> (aaa_fit or nlaaa_fit)."""
+    seen = []
+    original = getattr(cli, name)
+
+    def capture(samples, cfg):
+        seen.append(cfg)
+        return original(samples, cfg)
+
+    monkeypatch.setattr(cli, name, capture)
+    return seen
+
+
+def test_fit_leaves_unset_options_to_the_config_defaults(tmp_path, monkeypatch, capsys):
+    data = _sample_file(tmp_path, "relu", 11)
+    nlaaa_seen = _capture_configs(monkeypatch, "nlaaa_fit")
+    aaa_seen = _capture_configs(monkeypatch, "aaa_fit")
+    fit = ["fit", "--data", str(data), "--max-degree", "4"]
+    assert cli.main(fit + ["--algo", "nlaaa"]) == 0
+    assert cli.main(fit + ["--algo", "nlaaa", "--tol", "1e-6"]) == 0
+    assert cli.main(fit + ["--algo", "nlaaa", "--pmax", "3", "--tol-sk", "1e-5", "--tol-wf",
+                           "1e-4", "--fallback", "relative", "--seed", "9"]) == 0
+    assert cli.main(fit + ["--algo", "aaa"]) == 0
+    assert cli.main(["compare", "--data", str(data), "--max-degree", "4",
+                     "--out", str(tmp_path / "cmp")]) == 0
+    capsys.readouterr()
+    assert nlaaa_seen == [
+        NlaaaConfig(max_degree=4),
+        NlaaaConfig(max_degree=4, tol=1e-6),
+        NlaaaConfig(max_degree=4, refine=RefineConfig(p_max=3, tol_sk=1e-5, tol_wf=1e-4),
+                    fallback_mode="relative", rng_seed=9),
+        NlaaaConfig(max_degree=4),
+    ]
+    assert aaa_seen == [FitConfig(max_degree=4), FitConfig(max_degree=4)]
 
 
 def test_fit_stops_on_tolerance_for_exact_rational_data(tmp_path, capsys):

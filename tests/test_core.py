@@ -6,7 +6,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from baryfit import RationalModel, SampleSet, realize
 from baryfit.core import PoleAtPointError
-from helpers import distinct_complex, nonzero_complex, random_model
+from helpers import (
+    count_assemblies,
+    distinct_complex,
+    nonzero_complex,
+    random_instance,
+    random_model,
+)
 
 
 def test_one_point_model_is_the_constant_h1():
@@ -155,6 +161,63 @@ def test_sample_set_basic_accessors():
     assert_array_equal(smaller.active_values(), [5.0 + 0j, 7.0 + 0j])
     with pytest.raises(ValueError):
         smaller.deactivate(1)
+
+
+def test_levy_system_is_built_once_per_support_set(monkeypatch):
+    calls = count_assemblies(monkeypatch)
+    supports, interp, data = random_instance(np.random.default_rng(401), 3, 12)
+    system = data.levy_system(supports, interp)
+    assert data.levy_system(supports, interp) is system
+    assert data.levy_system(supports.copy(), list(interp)) is system
+    assert len(calls) == 1
+    assert system.cauchy.shape == (12, 3)
+    assert_array_equal(system.active_points, data.active_points())
+
+
+def test_levy_system_rebuilds_for_other_support_bytes(monkeypatch):
+    calls = count_assemblies(monkeypatch)
+    data = SampleSet([1.0, 2.0, 3.0, 4.0], [1.0, 0.5, 0.25, 0.125])
+    supports = np.array([0.0, 5.0 + 1j])
+    interp = np.array([0.0, 2.0])
+    first = data.levy_system(supports, interp)
+    moved = supports.copy()
+    moved[1] += 1e-12
+    changed = interp.copy()
+    changed[1] = 3.0
+    signed = interp.copy()
+    signed[0] = -0.0  # equal to 0.0, other bytes
+    for other_supports, other_interp in ((moved, interp), (supports, changed),
+                                         (supports, signed)):
+        assert data.levy_system(other_supports, other_interp) is not first
+    # one cached entry: going back to the first arrays builds again
+    assert data.levy_system(supports, interp) is not first
+    assert len(calls) == 5
+
+
+def test_levy_system_does_not_alias_the_callers_arrays():
+    supports, interp, data = random_instance(np.random.default_rng(403), 3, 10)
+    lam, h = supports.copy(), interp.copy()
+    system = data.levy_system(lam, h)
+    cauchy = system.cauchy.copy()
+    lam[0] += 1.0
+    h[0] += 1.0
+    assert_array_equal(system.supports, supports)
+    assert_array_equal(system.interp_values, interp)
+    assert_array_equal(system.cauchy, cauchy)
+    assert not system.cauchy.flags.writeable
+    assert data.levy_system(supports, interp) is system
+
+
+def test_deactivate_returns_a_set_without_a_cached_system(monkeypatch):
+    calls = count_assemblies(monkeypatch)
+    data = SampleSet([0.0, 1.0, 2.0, 3.0], [5.0, 6.0, 7.0, 8.0])
+    supports, interp = [10.0], [1.0]
+    system = data.levy_system(supports, interp)
+    smaller = data.deactivate(1)
+    other = smaller.levy_system(supports, interp)
+    assert len(calls) == 2
+    assert other.cauchy.shape == (3, 1) and system.cauchy.shape == (4, 1)
+    assert data.levy_system(supports, interp) is system
 
 
 def test_sample_set_rejects_bad_input():

@@ -23,7 +23,7 @@ from baryfit.gradients import (
     grad_wf_step,
 )
 from baryfit.linalg import assemble_levy_system
-from helpers import nonzero_complex, random_instance, unit_grid
+from helpers import count_assemblies, nonzero_complex, random_instance, unit_grid
 
 
 def _system_for(supports, interp, data):
@@ -264,3 +264,65 @@ def test_finite_difference_gradient_on_known_quadratic():
     w = np.array([1.0 + 2.0j, -0.5 + 0.25j])
     approx = finite_difference_gradient(energy, w)
     assert_allclose(approx, np.conj(w) * np.array([1.0, 2.0]), rtol=1e-9)
+
+
+def _all_criteria(supports, interp, data, w, w_prev):
+    """Every grad_* and error_* at (w, w_prev), in a fixed order."""
+    return [
+        grad_nonlinear(supports, interp, data, w),
+        grad_levy(supports, interp, data, w),
+        grad_levy_rearranged(supports, interp, data, w),
+        grad_sk_step(supports, interp, data, w, w_prev),
+        grad_sk_fixed_point(supports, interp, data, w),
+        grad_wf_step(supports, interp, data, w, w_prev),
+        error_nonlinear(supports, interp, data, w),
+        error_levy(supports, interp, data, w),
+        error_sk_step(supports, interp, data, w, w_prev),
+        error_wf_step(supports, interp, data, w, w_prev),
+    ]
+
+
+def test_cached_system_gives_the_values_of_a_fresh_assembly(monkeypatch):
+    rng = np.random.default_rng(409)
+    supports, interp, data = random_instance(rng, 5, 30)
+    w, w_prev = nonzero_complex(rng, 5), nonzero_complex(rng, 5)
+    with monkeypatch.context() as m:
+        m.setattr(SampleSet, "levy_system", lambda self, lam, h: assemble_levy_system(
+            self.active_points(), self.active_values(), lam, h))
+        fresh = _all_criteria(supports, interp, data, w, w_prev)
+    calls = count_assemblies(monkeypatch)
+    for _ in range(2):
+        cached = _all_criteria(supports, interp, data, w, w_prev)
+        assert [np.asarray(v).tobytes() for v in cached] == [
+            np.asarray(v).tobytes() for v in fresh]
+    assert len(calls) == 1
+
+
+def test_full_gradient_check_assembles_one_system(monkeypatch):
+    """All six gradients against central differences of their criteria,
+    plus the WF identity, on one instance: one assembly, where rebuilding
+    per call would take 8 + 24k."""
+    rng = np.random.default_rng(419)
+    k = 6
+    supports, interp, data = random_instance(rng, k, 40)
+    w, w_prev = nonzero_complex(rng, k), nonzero_complex(rng, k)
+    calls = count_assemblies(monkeypatch)
+    pairs = [
+        (grad_nonlinear(supports, interp, data, w),
+         lambda v: error_nonlinear(supports, interp, data, v)),
+        (grad_levy(supports, interp, data, w),
+         lambda v: error_levy(supports, interp, data, v)),
+        (grad_levy_rearranged(supports, interp, data, w),
+         lambda v: error_levy(supports, interp, data, v)),
+        (grad_sk_step(supports, interp, data, w, w_prev),
+         lambda v: error_sk_step(supports, interp, data, v, w_prev)),
+        (grad_sk_fixed_point(supports, interp, data, w),
+         lambda v: error_sk_step(supports, interp, data, v, w)),
+        (grad_wf_step(supports, interp, data, w, w_prev),
+         lambda v: error_wf_step(supports, interp, data, v, w_prev)),
+    ]
+    for analytic, error_fn in pairs:
+        assert _rel(analytic, finite_difference_gradient(error_fn, w)) < 1e-5
+    assert _rel(grad_wf_step(supports, interp, data, w, w),
+                grad_nonlinear(supports, interp, data, w)) < 1e-12
+    assert len(calls) == 1

@@ -1,7 +1,5 @@
 """NL-AAA: candidate selection, fallback greedy modes, and the full loop."""
 
-import sys
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,12 +13,13 @@ from baryfit import (
     nlaaa_fit,
     sample_builtin,
 )
-from baryfit import linalg
+from baryfit import nlaaa, refine
 from baryfit.aaa import levy_weights
 from baryfit.core import NumericalError
 from baryfit.linalg import assemble_levy_system
 from baryfit.nlaaa import fallback_greedy, full_squared_error, select_weights
-from helpers import rational_samples, unit_grid
+from baryfit.refine import wf_iterate
+from helpers import count_assemblies, rational_samples, unit_grid
 
 BRANCHES = {"levy", "wf-from-sk", "wf-from-prev", "fallback"}
 
@@ -107,17 +106,7 @@ def test_select_weights_returns_the_full_error_of_the_weights_it_returns():
 
 
 def test_each_fit_step_assembles_one_system(monkeypatch):
-    original = linalg.assemble_levy_system
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    # the fits import the name, so replace it wherever a module binds it
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "baryfit" and vars(module).get("assemble_levy_system") is original:
-            monkeypatch.setattr(module, "assemble_levy_system", counting)
+    calls = count_assemblies(monkeypatch)
     data = sample_builtin("relu", 501)
     for fit, cfg in ((aaa_fit, FitConfig(max_degree=14, tol=0.0)),
                      (nlaaa_fit, NlaaaConfig(max_degree=14, tol=0.0))):
@@ -125,6 +114,36 @@ def test_each_fit_step_assembles_one_system(monkeypatch):
         _, trace = fit(data, cfg)
         assert len(trace.records) == 15
         assert len(calls) == len(trace.records)
+
+
+def test_wf_from_prev_continues_the_one_step_wf(monkeypatch):
+    """On a wf-from-prev step the WF run starts with the one-step WF that
+    select_weights took, so the step solves one least-squares problem per WF
+    iterate, and its weights are those of wf_iterate from w_prev_ext."""
+    solves = []
+    original_lsq = refine.pivoted_weighted_lsq
+    original_select = nlaaa.select_weights
+    from_prev = []
+
+    def counting_lsq(*args):
+        solves.append(1)
+        return original_lsq(*args)
+
+    def checked_select(system, data, w_prev_ext, cfg, prev_err=None):
+        solves.clear()
+        weights, branch, err = original_select(system, data, w_prev_ext, cfg, prev_err)
+        if branch == "wf-from-prev":
+            made = len(solves)
+            want = wf_iterate(system, w_prev_ext, cfg.refine)
+            assert made == len(want.errors) - 1
+            assert weights.tobytes() == want.weights.tobytes()
+            from_prev.append(made)
+        return weights, branch, err
+
+    monkeypatch.setattr(refine, "pivoted_weighted_lsq", counting_lsq)
+    monkeypatch.setattr(nlaaa, "select_weights", checked_select)
+    _, trace = nlaaa_fit(sample_builtin("relu", 501), NlaaaConfig(max_degree=14, tol=0.0))
+    assert len(from_prev) == sum(r.branch == "wf-from-prev" for r in trace.records) > 0
 
 
 def test_fallback_greedy_probabilistic_matches_residual_distribution():

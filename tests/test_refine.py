@@ -10,7 +10,7 @@ from baryfit.core import NumericalError
 from baryfit.gradients import error_wf_step
 from baryfit.linalg import LevySystem, assemble_levy_system
 from baryfit.nlaaa import select_weights
-from baryfit.refine import RefineConfig, sk_iterate, wf_iterate, wf_step
+from baryfit.refine import RefineConfig, _wf_iterate_after, sk_iterate, wf_iterate, wf_step
 from helpers import distinct_complex, random_instance, rational_samples, unit_grid
 
 
@@ -245,3 +245,48 @@ def test_each_iterate_evaluates_numerators_and_denominators_once(monkeypatch):
     # are those wf_step computes afresh
     one = wf_iterate(system, sk.weights, RefineConfig(p_max=1, tol_wf=0.0))
     assert_array_equal(one.final_weights, wf_step(system, sk.weights))
+
+
+def _same_result(a, b):
+    return (a.weights.tobytes() == b.weights.tobytes()
+            and a.errors.tobytes() == b.errors.tobytes()
+            and a.converged == b.converged and a.best_index == b.best_index
+            and a.final_weights.tobytes() == b.final_weights.tobytes())
+
+
+def test_wf_run_after_a_given_first_step_equals_wf_iterate():
+    rng = np.random.default_rng(89)
+    for k, m in ((1, 6), (3, 20), (6, 60)):
+        supports, interp, data = random_instance(rng, k, m)
+        system = _system_for(supports, interp, data)
+        for w0 in (rng.standard_normal(k) + 1j * rng.standard_normal(k),
+                   sk_iterate(system, RefineConfig(p_max=3)).weights):
+            w1 = wf_step(system, w0)
+            for cfg in (RefineConfig(p_max=1), RefineConfig(p_max=2, tol_wf=0.0),
+                        RefineConfig(), RefineConfig(tol_wf=1e300)):
+                want = wf_iterate(system, w0, cfg)
+                assert _same_result(_wf_iterate_after(system, w0, None, cfg), want)
+                got = _wf_iterate_after(system, w0, (w1, system.evaluate(w1)), cfg)
+                assert _same_result(got, want)
+
+
+def test_wf_run_after_a_first_step_stops_on_a_start_with_infinite_error():
+    # |r - H|^2 overflows at the sample with H = 1e200, though d does not
+    # vanish, so wf_step succeeds and wf_iterate stops at its start
+    data = SampleSet([0.0, 0.5, -2.0], [1e200, 2.0, 3.0])
+    supports = np.array([1.0, -1.5], dtype=complex)
+    system = _system_for(supports, np.array([4.0, 5.0], dtype=complex), data)
+    w0 = np.ones(2, dtype=complex)
+    w1 = wf_step(system, w0)
+    with np.errstate(over="ignore"):  # the overflow is the point
+        want = wf_iterate(system, w0, RefineConfig())
+        got = _wf_iterate_after(system, w0, (w1, system.evaluate(w1)), RefineConfig())
+    assert want.errors.tolist() == [np.inf]
+    assert _same_result(got, want)
+    # a start whose denominator vanishes has no first step to pass
+    data = SampleSet([0.0, 0.5, -2.0], [1.0, 2.0, 3.0])
+    system = _system_for(np.array([1.0, -1.0]), np.array([4.0, 5.0]), data)
+    with pytest.raises(NumericalError):
+        wf_step(system, w0)
+    assert _same_result(_wf_iterate_after(system, w0, None, RefineConfig()),
+                        wf_iterate(system, w0, RefineConfig()))
