@@ -4,7 +4,9 @@ Each iteration promotes the worst-approximated active sample to a support
 point, then picks unit-norm weights minimizing the linearized (Levy) error
 ``sum |n(z_i) - d(z_i) H(z_i)|^2`` over the remaining active samples via the
 smallest right singular vector. The loop itself, ``_greedy_fit``, is shared
-with NL-AAA, which swaps in its own index and weight choices.
+with NL-AAA, which swaps in its own index and weight choices. As in AAA
+(Nakatsukasa, Sete & Trefethen, SISC 2018), one evaluation of a step's
+weights gives its stopping error and the mismatches the next step ranks.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +21,6 @@ __all__ = [
     "FitConfig",
     "TraceRecord",
     "FitTrace",
-    "initial_model",
     "greedy_select",
     "levy_weights",
     "aaa_fit",
@@ -61,33 +62,13 @@ class FitTrace:
     budget_exhausted: bool = False
 
 
-def initial_model(data):
-    """Degree-0 starting model: the mean of the sample values."""
-    if data.size < 1:
-        raise ValueError("cannot average an empty sample set")
-    return RationalModel.constant(np.mean(data.values))
+def greedy_select(res, data):
+    """Index of the active sample with the largest mismatch.
 
-
-def active_residuals(model, data, system=None):
-    """Active indices and |r - H| there; exact poles come out as inf.
-    `system` is the model's LevySystem over the active samples of `data`
-    (the constant start model needs none)."""
-    idx = data.active_indices()
-    H = data.values[idx]
-    if model.is_constant:
-        r = np.full(idx.size, model.constant_value, dtype=complex)
-    else:
-        r = system.rationals(model.weights)
-    res = np.abs(r - H)
-    return idx, np.where(np.isnan(res), np.inf, res)
-
-
-def greedy_select(model, data, system=None):
-    """Index of the active sample with the largest mismatch |r - H|.
-
-    Ties break to the lowest index. `system` is as for active_residuals.
+    `res` holds |r - H| at the active samples of `data`, in index order, for
+    the current model r. Ties break to the lowest index.
     """
-    idx, res = active_residuals(model, data, system)
+    idx = data.active_indices()
     if idx.size == 0:
         raise ValueError("no active samples left to select from")
     return int(idx[int(np.argmax(res))])
@@ -101,18 +82,21 @@ def levy_weights(supports, interp_values, data):
 def _greedy_fit(data, cfg, choose_index, choose_weights):
     """The greedy loop of AAA and NL-AAA; returns (model, trace).
 
-    Each step promotes `choose_index(model, work, system, branch)` to a
-    support (system and branch are those of the step that made the model,
-    None at the start), builds the step's LevySystem, and takes
-    `(weights, branch) = choose_weights(model, work, system)`; the first
-    step's weight is 1. A "fallback" step keeps the model's function, so its
-    metrics carry over.
+    The loop carries `res`, |r - H| at the active samples for the current
+    model r (nan mapped to inf, so a pole at a sample ranks first); the
+    constant mean of the values starts it. Each step promotes
+    `choose_index(res, work, branch)` to a support (`branch` is that of the
+    step that made r, None at the start), builds the step's LevySystem, and
+    takes `(weights, branch) = choose_weights(model, work, system)`; the
+    first step's weight is 1. One evaluation of the new weights on the
+    system gives both the stopping error and the next `res`. A "fallback"
+    step keeps the model's function, so its metrics carry over.
     """
     work = SampleSet(data.points, data.values)
-    model = initial_model(work)
+    res = np.abs(np.mean(work.values) - work.values)
+    model = None
     supports = np.empty(0, dtype=complex)
     interp_values = np.empty(0, dtype=complex)
-    system = None
     branch = None
     trace = FitTrace()
     reached_tol = False
@@ -120,7 +104,7 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
         if work.active_count < 2:
             # taking another support would leave no active data to fit
             break
-        idx = choose_index(model, work, system, branch)
+        idx = choose_index(res, work, branch)
         supports = np.append(supports, work.points[idx])
         interp_values = np.append(interp_values, work.values[idx])
         work = work.deactivate(idx)
@@ -130,7 +114,8 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
         else:
             w, branch = choose_weights(model, work, system)
         model = RationalModel.barycentric(supports, interp_values, w)
-        raw = system.residual_sq_sum(w)
+        _, _, raw, res = system.evaluate(w)
+        res = np.where(np.isnan(res), np.inf, res)
         if branch != "fallback":
             m = metrics(model, data)
         trace.records.append(
@@ -156,6 +141,6 @@ def aaa_fit(data, cfg):
     return _greedy_fit(
         data,
         cfg,
-        lambda model, work, system, branch: greedy_select(model, work, system),
+        lambda res, work, branch: greedy_select(res, work),
         lambda model, work, system: (min_unit_norm_solution(levy_matrix(system)), "levy"),
     )

@@ -9,6 +9,8 @@ The degree-0 variant is a plain constant. Sample data lives in immutable
 :class:`SampleSet` objects carrying an active/interpolated partition.
 """
 
+import copy
+
 import numpy as np
 
 from .linalg import assemble_levy_system
@@ -127,13 +129,18 @@ class SampleSet:
         return self._levy[1]
 
     def deactivate(self, index):
-        """Return a new SampleSet with sample `index` marked interpolated."""
+        """Return a new SampleSet with sample `index` marked interpolated; it
+        shares the checked, read-only points and values and caches nothing."""
         index = int(index)
         if not self.active_mask[index]:
             raise ValueError("sample %d is already interpolated" % index)
         mask = self.active_mask.copy()
         mask[index] = False
-        return SampleSet(self.points, self.values, mask)
+        mask.flags.writeable = False
+        smaller = copy.copy(self)
+        smaller.active_mask = mask
+        smaller._levy = None
+        return smaller
 
 
 # Cauchy entries per row block of model evaluation (16 bytes each: 64 KB).

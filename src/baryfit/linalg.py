@@ -4,7 +4,9 @@ Everything here works on plain complex arrays: the Cauchy matrix over the
 active samples, the Levy (Loewner-type) matrix, the homogeneous unit-norm
 minimizer via SVD, and the pivoted weighted least-squares solve used by the
 WF iteration. Problem sizes are desk scale, so dense LAPACK kernels are the
-right tool. The fits build one :class:`LevySystem` per greedy step. Tall
+right tool. The fits build one :class:`LevySystem` per greedy step, and one
+:meth:`LevySystem.evaluate` of a weight vector gives n, d, the active error
+and the residuals |r - H| that the next greedy selection ranks. Tall
 homogeneous solves decompose their R factor, bitwise as zgesdd itself would.
 """
 
@@ -80,22 +82,20 @@ class LevySystem:
     def denominators(self, w):
         return self.cauchy @ w
 
-    def rationals(self, w):
-        """r(z_i; w) at the active points; poles come out as inf/nan."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.numerators(w) / self.denominators(w)
-
     def residual_sq_sum(self, w):
         """Raw active squared error sum |r(z_i; w) - H(z_i)|^2 (inf if a pole hits)."""
         return self.evaluate(w)[2]
 
     def evaluate(self, w):
-        """(n(z_i; w), d(z_i; w), residual_sq_sum(w)) from one product each."""
+        """(n(z_i; w), d(z_i; w), residual_sq_sum(w), |r(z_i; w) - H(z_i)|)
+        from one product each; a pole at an active point gives a nan or inf
+        residual."""
         with np.errstate(divide="ignore", invalid="ignore"):
             n, d = self.numerators(w), self.denominators(w)
             r = n / d
-        total = float(np.sum(np.abs(r - self.data_values) ** 2))
-        return n, d, (np.inf if np.isnan(total) else total)
+        res = np.abs(r - self.data_values)
+        total = float(np.sum(res ** 2))
+        return n, d, (np.inf if np.isnan(total) else total), res
 
 
 def assemble_levy_system(active_points, active_values, supports, interp_values):

@@ -3,21 +3,22 @@
 NL-AAA is the greedy loop of AAA (``aaa._greedy_fit``) with other weights:
 on the step's LevySystem it compares an SK run against a single WF step
 seeded with the previous weights (extended by a zero for the new support),
-runs the full WF iteration from the better of the two, and keeps the
-previous model (zero weight on the new support) whenever nothing beats it on
-the full data set. That last fallback makes the reported full-data error
-provably non-increasing; the step after a fallback swaps the greedy
-selection for a probabilistic or relative-error variant so the same support
-choice cannot stall the iteration twice.
+runs the full WF iteration from the better of the two (continuing that
+single step when it won), and keeps the previous model (zero weight on the
+new support) whenever nothing beats it on the full data set. That last
+fallback makes the reported full-data error provably non-increasing; the
+step after a fallback ranks the loop's active residuals |r - H| with a
+probabilistic or relative-error variant of the greedy selection, so the
+same support choice cannot stall the iteration twice.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aaa import FitConfig, _greedy_fit, active_residuals, greedy_select
+from .aaa import FitConfig, _greedy_fit, greedy_select
 from .core import NumericalError, PoleAtPointError, RationalModel
-from .refine import RefineConfig, _wf_iterate_after, sk_iterate, wf_iterate, wf_step
+from .refine import RefineConfig, sk_iterate, wf_iterate, wf_step
 
 __all__ = [
     "NlaaaConfig",
@@ -58,7 +59,7 @@ def full_squared_error(supports, interp_values, weights, data):
     return np.inf if np.isnan(total) else total
 
 
-def select_weights(system, data, w_prev_ext, cfg, prev_err=None):
+def select_weights(system, data, w_prev_ext, cfg, prev_err):
     """Pick the weight vector for one NL-AAA step.
 
     Runs SK on the step's LevySystem, takes one WF step from w_prev_ext,
@@ -69,9 +70,9 @@ def select_weights(system, data, w_prev_ext, cfg, prev_err=None):
     (weights, branch, err), where err is the full-data squared error of the
     returned weights over all samples of `data`.
 
-    `prev_err`, when given, is the recorded full-data error of the model
-    w_prev_ext reproduces. The candidate must then beat both it and the
-    re-evaluation of w_prev_ext: the two differ by summation-order noise
+    `prev_err` is the recorded full-data error of the model w_prev_ext
+    reproduces (inf when there is none). The candidate must beat both it and
+    the re-evaluation of w_prev_ext: the two differ by summation-order noise
     (the zero extension changes the reduction tree, and near
     cancellation-heavy points that reordering moves the error by far more
     than an ulp), and an acceptance inside that noise window would either
@@ -94,26 +95,26 @@ def select_weights(system, data, w_prev_ext, cfg, prev_err=None):
         branch = "wf-from-sk"
     else:
         # the WF run from w_prev_ext starts with the step just taken
-        run = _wf_iterate_after(system, w_prev_ext, first, cfg.refine)
+        run = wf_iterate(system, w_prev_ext, cfg.refine, first=first)
         branch = "wf-from-prev"
     supports, interp_values = system.supports, system.interp_values
     candidate_err = full_squared_error(supports, interp_values, run.weights, data)
     prev_ext_err = full_squared_error(supports, interp_values, w_prev_ext, data)
-    reference = prev_ext_err if prev_err is None else min(prev_ext_err, prev_err)
-    if candidate_err < reference:
+    if candidate_err < min(prev_ext_err, prev_err):
         return run.weights, branch, candidate_err
     return w_prev_ext, "fallback", prev_ext_err
 
 
-def fallback_greedy(model, data, mode, rng, system=None):
+def fallback_greedy(res, data, mode, rng):
     """Alternative support selection used on the step after a fallback.
 
-    Probabilistic mode draws an active index with probability proportional to
-    |r - H| (uniform when all residuals vanish); relative mode takes the
-    argmax of |r - H|/|H| over active samples with H != 0. `system` is as for
-    aaa.active_residuals.
+    `res` holds |r - H| at the active samples of `data`, as for
+    aaa.greedy_select. Probabilistic mode draws an active index with
+    probability proportional to it (uniform when all residuals vanish);
+    relative mode takes the argmax of |r - H|/|H| over active samples with
+    H != 0.
     """
-    idx, res = active_residuals(model, data, system)
+    idx = data.active_indices()
     if idx.size == 0:
         raise ValueError("no active samples left to select from")
     if mode == "probabilistic":
@@ -147,10 +148,10 @@ def nlaaa_fit(data, cfg):
     rng = np.random.default_rng(cfg.rng_seed)
     full_err = None  # full-data squared error of the last accepted model
 
-    def choose_index(model, work, system, branch):
+    def choose_index(res, work, branch):
         if branch == "fallback":
-            return fallback_greedy(model, work, cfg.fallback_mode, rng, system)
-        return greedy_select(model, work, system)
+            return fallback_greedy(res, work, cfg.fallback_mode, rng)
+        return greedy_select(res, work)
 
     def choose_weights(model, work, system):
         nonlocal full_err
@@ -158,7 +159,7 @@ def nlaaa_fit(data, cfg):
             # the first step's model, whose weight no selection chose
             full_err = full_squared_error(model.supports, model.values, model.weights, work)
         w_prev_ext = np.append(model.weights, 0.0)
-        weights, branch, err = select_weights(system, work, w_prev_ext, cfg, prev_err=full_err)
+        weights, branch, err = select_weights(system, work, w_prev_ext, cfg, full_err)
         if branch != "fallback":
             full_err = err
         return weights, branch

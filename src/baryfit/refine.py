@@ -6,8 +6,9 @@ SK repeats the homogeneous unit-norm solve; WF solves a Gauss-Newton-style
 linearization of the rational map with the pivot weight pinned to 1.
 Neither iteration is guaranteed to converge monotonically, so both record
 the raw active squared error of every iterate and return the best one.
-Each iterate's error and the next step share one evaluation of n and d,
-and a WF run can continue from a first step its caller already took.
+Each iterate's error and the next step share one evaluation of n and d.
+A WF run has one entry point, :func:`wf_iterate`, which can continue from a
+first step its caller already took.
 """
 
 from dataclasses import dataclass
@@ -82,7 +83,7 @@ def sk_iterate(system, cfg):
     converged = False
     for _ in range(cfg.p_max):
         w = min_unit_norm_solution(L * denominator_weighting(dvals)[:, None])
-        _, dvals, err = system.evaluate(w)
+        _, dvals, err, _ = system.evaluate(w)
         iterates.append(w)
         errors.append(err)
         if _phase_aligned_diff(w, w_prev) < cfg.tol_sk:
@@ -103,20 +104,18 @@ def _choose_pivot(w0):
     return 0
 
 
-def wf_step(system, w_prev, pivot=None):
-    """One linearized least-squares step from w_prev, weight `pivot` pinned to 1.
+def wf_step(system, w_prev):
+    """One linearized least-squares step from w_prev, one weight pinned to 1.
 
     The coefficient matrix has entries h_j/(z_i - lambda_j) -
     r(z_i; w_prev)/(z_i - lambda_j), the right-hand side is
     -n(z_i; w_prev) + d(z_i; w_prev) H(z_i), and rows are weighted by
-    1/|d(z_i; w_prev)|. The pivot defaults to index 0, or to the largest
-    entry of w_prev when entry 0 is negligible.
+    1/|d(z_i; w_prev)|. The pinned weight is entry 0, or the largest entry
+    of w_prev when entry 0 is negligible.
     """
     w_prev = np.asarray(w_prev, dtype=complex)
-    if pivot is None:
-        pivot = _choose_pivot(w_prev)
     n_prev, d_prev = system.numerators(w_prev), system.denominators(w_prev)
-    return _linearized_step(system, n_prev, d_prev, pivot)
+    return _linearized_step(system, n_prev, d_prev, _choose_pivot(w_prev))
 
 
 def _linearized_step(system, n_prev, d_prev, pivot):
@@ -138,7 +137,7 @@ def _pivot_normalized_diff(w, w_prev, pivot):
     return float(np.linalg.norm(w / w[pivot] - w_prev / w_prev[pivot]))
 
 
-def wf_iterate(system, w0, cfg):
+def wf_iterate(system, w0, cfg, first=None):
     """Repeated WF steps from w0; error of w0 itself is recorded as entry 0.
 
     The pivot is chosen once from w0 (index 0 unless that entry is
@@ -147,25 +146,22 @@ def wf_iterate(system, w0, cfg):
     error (its denominator vanishes at an active sample, or the residual
     overflows) ends the iteration: there is nothing to linearize around, and
     the best earlier iterate is returned.
+
+    `first`, when given, is ``(w1, system.evaluate(w1))`` for
+    ``w1 = wf_step(system, w0)``, a first step the caller already took; the
+    run then continues from it and equals the run without it bit for bit.
     """
-    return _wf_iterate_after(system, w0, None, cfg)
-
-
-def _wf_iterate_after(system, w0, first, cfg):
-    """:func:`wf_iterate` from w0, with `first` = (w1, (n, d, err)) the
-    :func:`wf_step` from w0 and its :meth:`LevySystem.evaluate` when the
-    caller already made them (None to compute them here)."""
     w0 = np.asarray(w0, dtype=complex)
     pivot = _choose_pivot(w0)
-    n, d, err = system.evaluate(w0)
+    n, d, err, _ = system.evaluate(w0)
     iterates, errors = [w0], [err]
     converged = False
     while len(iterates) <= cfg.p_max and np.isfinite(errors[-1]):
         if first is None:
             w = _linearized_step(system, n, d, pivot)
-            n, d, err = system.evaluate(w)
+            n, d, err, _ = system.evaluate(w)
         else:
-            w, (n, d, err) = first
+            w, (n, d, err, _) = first
             first = None
         iterates.append(w)
         errors.append(err)

@@ -84,6 +84,11 @@ def rational_samples(rng, degree, count):
     return SampleSet(x, fn(x))
 
 
+def rationals(system, w):
+    """r(z_i; w) at the active points of a LevySystem."""
+    return system.numerators(w) / system.denominators(w)
+
+
 def count_assemblies(monkeypatch):
     """Record the arguments of every assemble_levy_system call the package
     makes from now on; returns the list they are appended to."""

@@ -5,44 +5,55 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from baryfit import FitConfig, RationalModel, SampleSet, aaa_fit, metrics, sample_builtin
-from baryfit.aaa import greedy_select, initial_model, levy_weights
-from baryfit.linalg import assemble_levy_system, levy_matrix
+from baryfit import aaa
+from baryfit.aaa import greedy_select, levy_weights
+from baryfit.linalg import LevySystem, assemble_levy_system, levy_matrix
 from helpers import rational_samples, unit_grid
 
 
-def test_initial_model_is_the_mean():
-    assert initial_model(SampleSet([0.0, 1.0, 2.0], [1.0, 2.0, 3.0]))(0.0) == 2.0 + 0j
-    assert initial_model(SampleSet([0.0], [7.0]))(5.0) == 7.0 + 0j
-    data = SampleSet([0.0, 1.0], [1 + 1j, 1 - 1j])
-    assert initial_model(data)(0.0) == 1.0 + 0j
+def test_initial_model_is_the_mean(monkeypatch):
+    """The loop starts from the constant mean of the values: its first
+    selection ranks |mean - H| over all samples."""
+    seen = []
+    original = aaa.greedy_select
+
+    def spy(res, data):
+        seen.append(np.array(res))
+        return original(res, data)
+
+    monkeypatch.setattr(aaa, "greedy_select", spy)
+    for values, mean in (([1.0, 2.0, 3.0], 2.0), ([1 + 1j, 1 - 1j], 1.0)):
+        seen.clear()
+        aaa_fit(SampleSet(np.arange(len(values)), values), FitConfig(max_degree=0))
+        assert_array_equal(seen[0], np.abs(mean - np.asarray(values)))
 
 
 def test_greedy_select_breaks_ties_at_lowest_index():
     data = SampleSet([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
-    model = RationalModel.constant(2.0)
-    # mismatches are (1, 0, 1); the tie between 0 and 2 goes to 0
-    assert greedy_select(model, data) == 0
+    # mismatches (1, 0, 1) of the constant 2; the tie between 0 and 2 goes to 0
+    assert greedy_select(np.array([1.0, 0.0, 1.0]), data) == 0
 
 
 def test_greedy_select_all_zero_mismatch_returns_lowest_index():
     data = SampleSet([0.0, 1.0, 2.0], [4.0, 4.0, 4.0])
-    assert greedy_select(RationalModel.constant(4.0), data) == 0
+    assert greedy_select(np.zeros(3), data) == 0
 
 
 def test_greedy_select_unique_maximum():
     data = SampleSet([0.0, 1.0, 2.0], [0.1, 5.0, 0.3])
-    assert greedy_select(RationalModel.constant(0.0), data) == 1
+    assert greedy_select(np.abs(data.values), data) == 1
 
 
 def test_greedy_select_respects_active_mask():
     data = SampleSet([0.0, 1.0, 2.0], [0.1, 5.0, 0.3], [True, False, True])
-    assert greedy_select(RationalModel.constant(0.0), data) == 2
+    # the residuals of the active samples 0 and 2 only
+    assert greedy_select(np.array([0.1, 0.3]), data) == 2
 
 
 def test_greedy_select_needs_active_samples():
     data = SampleSet([0.0, 1.0], [1.0, 2.0], [False, False])
     with pytest.raises(ValueError):
-        greedy_select(RationalModel.constant(0.0), data)
+        greedy_select(np.empty(0), data)
 
 
 def test_levy_weights_single_support_is_unit_scalar():
@@ -134,14 +145,17 @@ def test_aaa_trace_matches_independent_replay():
     _, trace = aaa_fit(data, cfg)
 
     work = SampleSet(data.points, data.values)
-    model = initial_model(work)
+    model = RationalModel.constant(np.mean(data.values))
     supports = np.empty(0, dtype=complex)
     interp = np.empty(0, dtype=complex)
     for rec in trace.records:
-        system = None if model.is_constant else assemble_levy_system(
-            work.active_points(), work.active_values(), model.supports, model.values
-        )
-        idx = greedy_select(model, work, system)
+        if model.is_constant:
+            res = np.abs(model.constant_value - work.active_values())
+        else:
+            res = assemble_levy_system(
+                work.active_points(), work.active_values(), model.supports, model.values
+            ).evaluate(model.weights)[3]
+        idx = greedy_select(res, work)
         assert complex(work.points[idx]) == rec.support
         supports = np.append(supports, work.points[idx])
         interp = np.append(interp, work.values[idx])
@@ -176,3 +190,17 @@ def test_aaa_exact_recovery_of_random_rational():
     final = trace.records[-1]
     assert final.k == degree + 1
     assert final.l2_norm < 1e-10
+
+
+def test_each_aaa_step_evaluates_its_weights_once(monkeypatch):
+    """The stopping error and the next selection share one evaluation of n
+    and d on the step's system."""
+    calls = {"numerators": 0, "denominators": 0}
+    for name in calls:
+        def counted(self, w, name=name, original=getattr(LevySystem, name)):
+            calls[name] += 1
+            return original(self, w)
+        monkeypatch.setattr(LevySystem, name, counted)
+    _, trace = aaa_fit(sample_builtin("relu", 501), FitConfig(max_degree=14, tol=0.0))
+    assert len(trace.records) == 15
+    assert calls == {"numerators": 15, "denominators": 15}

@@ -163,6 +163,18 @@ def test_sample_set_basic_accessors():
         smaller.deactivate(1)
 
 
+def test_deactivate_shares_the_checked_samples():
+    data = SampleSet([0.0, 1.0, 2.0], [5.0, 6.0, 7.0], [True, False, True])
+    smaller = data.deactivate(2)
+    assert smaller.points is data.points and smaller.values is data.values
+    assert not smaller.active_mask.flags.writeable
+    assert_array_equal(smaller.active_mask, [True, False, False])
+    assert_array_equal(data.active_mask, [True, False, True])
+    for index in (1, 2):
+        with pytest.raises(ValueError):
+            smaller.deactivate(index)
+
+
 def test_levy_system_is_built_once_per_support_set(monkeypatch):
     calls = count_assemblies(monkeypatch)
     supports, interp, data = random_instance(np.random.default_rng(401), 3, 12)

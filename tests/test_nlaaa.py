@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from baryfit import (
     FitConfig,
     NlaaaConfig,
-    RationalModel,
     SampleSet,
     aaa_fit,
     nlaaa_fit,
@@ -77,7 +76,8 @@ def test_select_weights_never_worsens_an_exact_previous_model():
     assert prev_err < 1e-20
 
     system = assemble_levy_system(data.active_points(), data.active_values(), supports, interp)
-    weights, branch, _ = select_weights(system, data, w_prev_ext, NlaaaConfig(max_degree=5))
+    weights, branch, _ = select_weights(system, data, w_prev_ext, NlaaaConfig(max_degree=5),
+                                        np.inf)
     assert branch in BRANCHES - {"levy"}
     err = full_squared_error(supports, interp, weights, data)
     assert err <= prev_err
@@ -97,9 +97,9 @@ def test_select_weights_returns_the_full_error_of_the_weights_it_returns():
     work = SampleSet(data.points, data.values, mask)
     system = assemble_levy_system(work.active_points(), work.active_values(), supports, interp)
     # a recorded error of 0 cannot be beaten, so it forces the fallback
-    for prev_err, accepted in ((None, True), (0.0, False)):
+    for prev_err, accepted in ((np.inf, True), (0.0, False)):
         weights, branch, err = select_weights(
-            system, work, w_prev_ext, NlaaaConfig(max_degree=5), prev_err=prev_err
+            system, work, w_prev_ext, NlaaaConfig(max_degree=5), prev_err
         )
         assert (branch != "fallback") == accepted
         assert err == full_squared_error(supports, interp, weights, work)
@@ -129,7 +129,7 @@ def test_wf_from_prev_continues_the_one_step_wf(monkeypatch):
         solves.append(1)
         return original_lsq(*args)
 
-    def checked_select(system, data, w_prev_ext, cfg, prev_err=None):
+    def checked_select(system, data, w_prev_ext, cfg, prev_err):
         solves.clear()
         weights, branch, err = original_select(system, data, w_prev_ext, cfg, prev_err)
         if branch == "wf-from-prev":
@@ -146,11 +146,24 @@ def test_wf_from_prev_continues_the_one_step_wf(monkeypatch):
     assert len(from_prev) == sum(r.branch == "wf-from-prev" for r in trace.records) > 0
 
 
+def test_wf_iterate_runs_once_per_select_weights_call(monkeypatch):
+    """Every WF run, wf-from-prev included, goes through wf_iterate."""
+    calls = []
+    for name in ("select_weights", "wf_iterate"):
+        def counted(*args, name=name, original=getattr(nlaaa, name), **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(nlaaa, name, counted)
+    _, trace = nlaaa_fit(sample_builtin("relu", 501), NlaaaConfig(max_degree=14, tol=0.0))
+    assert calls == ["select_weights", "wf_iterate"] * (len(trace.records) - 1)
+    assert any(r.branch == "wf-from-prev" for r in trace.records)
+
+
 def test_fallback_greedy_probabilistic_matches_residual_distribution():
     data = SampleSet([0.0, 1.0, 2.0], [1.0, 0.0, 1.0])
-    model = RationalModel.constant(0.0)
+    res = np.abs(data.values)  # the constant 0 model
     rng = np.random.default_rng(0)
-    picks = [fallback_greedy(model, data, "probabilistic", rng) for _ in range(2000)]
+    picks = [fallback_greedy(res, data, "probabilistic", rng) for _ in range(2000)]
     counts = np.bincount(picks, minlength=3)
     assert counts[1] == 0  # zero residual has zero probability
     assert abs(counts[0] - 1000) < 100  # 4.5 sigma for p = 1/2
@@ -158,9 +171,8 @@ def test_fallback_greedy_probabilistic_matches_residual_distribution():
 
 def test_fallback_greedy_probabilistic_uniform_when_all_exact():
     data = SampleSet([0.0, 1.0, 2.0], [4.0, 4.0, 4.0])
-    model = RationalModel.constant(4.0)
     rng = np.random.default_rng(1)
-    picks = {fallback_greedy(model, data, "probabilistic", rng) for _ in range(300)}
+    picks = {fallback_greedy(np.zeros(3), data, "probabilistic", rng) for _ in range(300)}
     assert picks == {0, 1, 2}
 
 
@@ -174,30 +186,36 @@ class _NoDraws:
 def test_fallback_greedy_relative_hand_case():
     # residuals (1, 0, 1) against |H| = (1, 2, 3): ratios (1, 0, 1/3)
     data = SampleSet([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
-    model = RationalModel.constant(2.0)
-    assert fallback_greedy(model, data, "relative", _NoDraws()) == 0
+    assert fallback_greedy(np.array([1.0, 0.0, 1.0]), data, "relative", _NoDraws()) == 0
 
 
 def test_fallback_greedy_relative_skips_zero_values():
     data = SampleSet([0.0, 1.0, 2.0], [0.0, 2.0, 3.0])
     rng = np.random.default_rng(2)
     # residuals (0, 2, 3); the H = 0 sample is excluded, ratios tie at 1
-    assert fallback_greedy(RationalModel.constant(0.0), data, "relative", rng) == 1
+    assert fallback_greedy(np.array([0.0, 2.0, 3.0]), data, "relative", rng) == 1
 
 
 def test_fallback_greedy_relative_needs_a_nonzero_value():
     data = SampleSet([0.0, 1.0], [0.0, 0.0])
     rng = np.random.default_rng(3)
     with pytest.raises(NumericalError):
-        fallback_greedy(RationalModel.constant(1.0), data, "relative", rng)
+        fallback_greedy(np.ones(2), data, "relative", rng)
 
 
 def test_fallback_greedy_single_active_sample():
     data = SampleSet([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [False, True, False])
     rng = np.random.default_rng(4)
-    model = RationalModel.constant(0.0)
-    assert fallback_greedy(model, data, "probabilistic", rng) == 1
-    assert fallback_greedy(model, data, "relative", rng) == 1
+    res = np.array([2.0])  # the constant 0 model at the one active sample
+    assert fallback_greedy(res, data, "probabilistic", rng) == 1
+    assert fallback_greedy(res, data, "relative", rng) == 1
+
+
+def test_fallback_greedy_needs_active_samples():
+    data = SampleSet([0.0, 1.0], [1.0, 2.0], [False, False])
+    for mode in ("probabilistic", "relative"):
+        with pytest.raises(ValueError):
+            fallback_greedy(np.empty(0), data, mode, np.random.default_rng(5))
 
 
 def test_nlaaa_needs_two_samples():

@@ -10,8 +10,8 @@ from baryfit.core import NumericalError
 from baryfit.gradients import error_wf_step
 from baryfit.linalg import LevySystem, assemble_levy_system
 from baryfit.nlaaa import select_weights
-from baryfit.refine import RefineConfig, _wf_iterate_after, sk_iterate, wf_iterate, wf_step
-from helpers import distinct_complex, random_instance, rational_samples, unit_grid
+from baryfit.refine import RefineConfig, sk_iterate, wf_iterate, wf_step
+from helpers import distinct_complex, random_instance, rationals, unit_grid
 
 
 def _system_for(supports, interp, data):
@@ -48,8 +48,8 @@ def test_sk_first_iterate_is_the_levy_solution():
     system = _system_for(supports, interp, data)
     probes = distinct_complex(rng, 100, scale=2.0)
     probe_sys = assemble_levy_system(probes, np.zeros(100), supports, interp)
-    r_sk = probe_sys.rationals(result.final_weights)
-    r_levy = probe_sys.rationals(w_levy)
+    r_sk = rationals(probe_sys, result.final_weights)
+    r_levy = rationals(probe_sys, w_levy)
     assert np.all(np.abs(r_sk - r_levy) <= 1e-10 * (1.0 + np.abs(r_levy)))
     assert_allclose(result.errors[0], system.residual_sq_sum(w_levy), rtol=1e-12)
 
@@ -118,7 +118,7 @@ def test_wf_step_zero_residual_weights_are_a_fixed_point():
     assert system.residual_sq_sum(w_exact) < 1e-20
     w_next = wf_step(_system_for(supports, interp, data), w_exact)
     assert_allclose(
-        system.rationals(w_next), system.rationals(w_exact), rtol=1e-8
+        rationals(system, w_next), rationals(system, w_exact), rtol=1e-8
     )
 
 
@@ -217,7 +217,8 @@ def test_select_weights_survives_a_previous_model_with_a_pole_at_a_sample():
     interp = work.values[picked]
     w_prev_ext = np.array([1.0, 1.0, 0.0], dtype=complex)
     cfg = NlaaaConfig(max_degree=2)
-    weights, branch, _ = select_weights(_system_for(supports, interp, work), work, w_prev_ext, cfg)
+    weights, branch, _ = select_weights(_system_for(supports, interp, work), work, w_prev_ext, cfg,
+                                        np.inf)
     assert branch == "wf-from-sk"
     system = _system_for(supports, interp, work)
     assert np.isfinite(system.residual_sq_sum(weights))
@@ -265,8 +266,8 @@ def test_wf_run_after_a_given_first_step_equals_wf_iterate():
             for cfg in (RefineConfig(p_max=1), RefineConfig(p_max=2, tol_wf=0.0),
                         RefineConfig(), RefineConfig(tol_wf=1e300)):
                 want = wf_iterate(system, w0, cfg)
-                assert _same_result(_wf_iterate_after(system, w0, None, cfg), want)
-                got = _wf_iterate_after(system, w0, (w1, system.evaluate(w1)), cfg)
+                assert _same_result(wf_iterate(system, w0, cfg, first=None), want)
+                got = wf_iterate(system, w0, cfg, first=(w1, system.evaluate(w1)))
                 assert _same_result(got, want)
 
 
@@ -280,7 +281,7 @@ def test_wf_run_after_a_first_step_stops_on_a_start_with_infinite_error():
     w1 = wf_step(system, w0)
     with np.errstate(over="ignore"):  # the overflow is the point
         want = wf_iterate(system, w0, RefineConfig())
-        got = _wf_iterate_after(system, w0, (w1, system.evaluate(w1)), RefineConfig())
+        got = wf_iterate(system, w0, RefineConfig(), first=(w1, system.evaluate(w1)))
     assert want.errors.tolist() == [np.inf]
     assert _same_result(got, want)
     # a start whose denominator vanishes has no first step to pass
@@ -288,5 +289,5 @@ def test_wf_run_after_a_first_step_stops_on_a_start_with_infinite_error():
     system = _system_for(np.array([1.0, -1.0]), np.array([4.0, 5.0]), data)
     with pytest.raises(NumericalError):
         wf_step(system, w0)
-    assert _same_result(_wf_iterate_after(system, w0, None, RefineConfig()),
+    assert _same_result(wf_iterate(system, w0, RefineConfig(), first=None),
                         wf_iterate(system, w0, RefineConfig()))
