@@ -88,8 +88,8 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
     `choose_index(res, work, branch)` to a support (`branch` is that of the
     step that made r, None at the start), builds the step's LevySystem, and
     takes `(weights, branch) = choose_weights(model, work, system)`; the
-    first step's weight is 1. One evaluation of the new weights on the
-    system gives both the stopping error and the next `res`. A "fallback"
+    first step's weight is 1. One `system.residual_sq_sum` of the new
+    weights gives both the stopping error and the next `res`. A "fallback"
     step keeps the model's function, so its metrics carry over.
     """
     work = SampleSet(data.points, data.values)
@@ -114,8 +114,9 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
         else:
             w, branch = choose_weights(model, work, system)
         model = RationalModel.barycentric(supports, interp_values, w)
-        _, _, raw, res = system.evaluate(w)
-        res = np.where(np.isnan(res), np.inf, res)
+        res = np.empty(work.active_count)
+        raw = system.residual_sq_sum(w, out=res)
+        res[np.isnan(res)] = np.inf
         if branch != "fallback":
             m = metrics(model, data)
         trace.records.append(

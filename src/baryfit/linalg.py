@@ -5,8 +5,9 @@ active samples, the Levy (Loewner-type) matrix, the homogeneous unit-norm
 minimizer via SVD, and the pivoted weighted least-squares solve used by the
 WF iteration. Problem sizes are desk scale, so dense LAPACK kernels are the
 right tool. The fits build one :class:`LevySystem` per greedy step, and one
-:meth:`LevySystem.evaluate` of a weight vector gives n, d, the active error
-and the residuals |r - H| that the next greedy selection ranks. Tall
+:meth:`LevySystem.residual_sq_sum` of the step's weights gives both the
+active error and the residuals |r - H| that the next greedy selection
+ranks. Tall
 homogeneous solves decompose their R factor, bitwise as zgesdd itself would.
 """
 
@@ -82,20 +83,23 @@ class LevySystem:
     def denominators(self, w):
         return self.cauchy @ w
 
-    def residual_sq_sum(self, w):
-        """Raw active squared error sum |r(z_i; w) - H(z_i)|^2 (inf if a pole hits)."""
-        return self.evaluate(w)[2]
+    def residual_sq_sum(self, w, out=None):
+        """Raw active squared error sum |r(z_i; w) - H(z_i)|^2 (inf if a pole hits).
 
-    def evaluate(self, w):
-        """(n(z_i; w), d(z_i; w), residual_sq_sum(w), |r(z_i; w) - H(z_i)|)
-        from one product each; a pole at an active point gives a nan or inf
-        residual."""
+        `out`, a float array with one entry per active sample, receives the
+        residuals |r(z_i; w) - H(z_i)| the sum is formed from; a pole at an
+        active point leaves a nan or inf there.
+        """
+        return self.evaluate(w, out)[2]
+
+    def evaluate(self, w, out=None):
+        """(n(z_i; w), d(z_i; w), residual_sq_sum(w, out)) from one product each."""
         with np.errstate(divide="ignore", invalid="ignore"):
             n, d = self.numerators(w), self.denominators(w)
             r = n / d
-        res = np.abs(r - self.data_values)
+        res = np.abs(r - self.data_values, out=out)
         total = float(np.sum(res ** 2))
-        return n, d, (np.inf if np.isnan(total) else total), res
+        return n, d, (np.inf if np.isnan(total) else total)
 
 
 def assemble_levy_system(active_points, active_values, supports, interp_values):

@@ -83,7 +83,7 @@ def sk_iterate(system, cfg):
     converged = False
     for _ in range(cfg.p_max):
         w = min_unit_norm_solution(L * denominator_weighting(dvals)[:, None])
-        _, dvals, err, _ = system.evaluate(w)
+        _, dvals, err = system.evaluate(w)
         iterates.append(w)
         errors.append(err)
         if _phase_aligned_diff(w, w_prev) < cfg.tol_sk:
@@ -153,15 +153,15 @@ def wf_iterate(system, w0, cfg, first=None):
     """
     w0 = np.asarray(w0, dtype=complex)
     pivot = _choose_pivot(w0)
-    n, d, err, _ = system.evaluate(w0)
+    n, d, err = system.evaluate(w0)
     iterates, errors = [w0], [err]
     converged = False
     while len(iterates) <= cfg.p_max and np.isfinite(errors[-1]):
         if first is None:
             w = _linearized_step(system, n, d, pivot)
-            n, d, err, _ = system.evaluate(w)
+            n, d, err = system.evaluate(w)
         else:
-            w, (n, d, err, _) = first
+            w, (n, d, err) = first
             first = None
         iterates.append(w)
         errors.append(err)

@@ -152,9 +152,10 @@ def test_aaa_trace_matches_independent_replay():
         if model.is_constant:
             res = np.abs(model.constant_value - work.active_values())
         else:
-            res = assemble_levy_system(
+            res = np.empty(work.active_count)
+            assemble_levy_system(
                 work.active_points(), work.active_values(), model.supports, model.values
-            ).evaluate(model.weights)[3]
+            ).residual_sq_sum(model.weights, out=res)
         idx = greedy_select(res, work)
         assert complex(work.points[idx]) == rec.support
         supports = np.append(supports, work.points[idx])
@@ -194,13 +195,13 @@ def test_aaa_exact_recovery_of_random_rational():
 
 def test_each_aaa_step_evaluates_its_weights_once(monkeypatch):
     """The stopping error and the next selection share one evaluation of n
-    and d on the step's system."""
-    calls = {"numerators": 0, "denominators": 0}
+    and d on the step's system, made through residual_sq_sum."""
+    calls = {"numerators": 0, "denominators": 0, "residual_sq_sum": 0}
     for name in calls:
-        def counted(self, w, name=name, original=getattr(LevySystem, name)):
+        def counted(self, *args, name=name, original=getattr(LevySystem, name), **kwargs):
             calls[name] += 1
-            return original(self, w)
+            return original(self, *args, **kwargs)
         monkeypatch.setattr(LevySystem, name, counted)
     _, trace = aaa_fit(sample_builtin("relu", 501), FitConfig(max_degree=14, tol=0.0))
     assert len(trace.records) == 15
-    assert calls == {"numerators": 15, "denominators": 15}
+    assert calls == {"numerators": 15, "denominators": 15, "residual_sq_sum": 15}

@@ -59,13 +59,15 @@ def test_levy_system_residual_helpers_are_consistent():
     w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     n = system.numerators(w)
     d = system.denominators(w)
-    n_eval, d_eval, err, res = system.evaluate(w)
+    n_eval, d_eval, err = system.evaluate(w)
     assert_array_equal(n_eval, n)
     assert_array_equal(d_eval, d)
-    assert_allclose(res, np.abs(n / d - data.values), rtol=1e-15)
     expected = float(np.sum(np.abs(n / d - data.values) ** 2))
     assert_allclose(system.residual_sq_sum(w), expected, rtol=1e-14)
     assert system.residual_sq_sum(w) == err
+    res = np.empty(data.size)
+    assert system.residual_sq_sum(w, out=res) == err
+    assert_allclose(res, np.abs(n / d - data.values), rtol=1e-15)
     # the Levy matrix encodes -(n - d H) column-combined
     assert_allclose(levy_matrix(system) @ w, -(n - d * data.values), rtol=1e-13)
 
