@@ -125,7 +125,7 @@ def cmd_realize(args):
         try:
             via_rom = rom.transfer(probe)
             direct = model(probe)
-        except (NumericalError, np.linalg.LinAlgError):
+        except NumericalError:
             continue
         log.info(
             "wrote order-%d realization to %s; transfer check at z=%s: %s (eval %s)",

@@ -30,7 +30,8 @@ class NumericalError(ArithmeticError):
 
 
 class PoleAtPointError(NumericalError):
-    """The barycentric denominator is exactly zero at an evaluation point."""
+    """The barycentric denominator is exactly zero at an evaluation point,
+    or the pencil of a realization is exactly singular there."""
 
 
 def _as_complex_vector(x, name):
@@ -145,7 +146,8 @@ class SampleSet:
 
 # Cauchy entries per row block of model evaluation (16 bytes each: 64 KB).
 _EVAL_BLOCK_ENTRIES = 4096
-# Pencil entries per block of Realization.transfer (0.5 MB).
+# Pencil entries per block of Realization.transfer (0.5 MB): k per point, the
+# row its elimination carries, times k - i if b's first nonzero is b_i.
 _TRANSFER_BLOCK_ENTRIES = 32768
 
 
@@ -270,14 +272,37 @@ class Realization:
     """Descriptor state-space realization (E, A, b, c) of a rational model.
 
     The transfer function c^T (zE - A)^{-1} b reproduces the model at every
-    point away from the support set.
+    point away from the support set. The pencil must be lower Hessenberg:
+    E and A are zero above their superdiagonal, as `realize` builds them.
+    The constructor checks that layout once and keeps read-only copies of
+    the four arrays, so it cannot change afterwards.
     """
 
     def __init__(self, E, A, b, c):
-        self.E = np.asarray(E, dtype=complex)
-        self.A = np.asarray(A, dtype=complex)
-        self.b = np.asarray(b, dtype=complex)
-        self.c = np.asarray(c, dtype=complex)
+        self.E, self.A, self.b, self.c = (np.array(x, dtype=complex) for x in (E, A, b, c))
+        for arr in (self.E, self.A, self.b, self.c):
+            arr.flags.writeable = False
+        k = self.b.size
+        if k < 1 or self.b.shape != (k,) or self.c.shape != (k,) \
+                or self.E.shape != (k, k) or self.A.shape != (k, k):
+            raise ValueError("E and A must be k x k and b and c of length k >= 1")
+        # Row i of the transposed pencil with c appended, [(zE - A)^T | c],
+        # is z Et[i] - At[i]; it is upper Hessenberg.
+        Et = np.zeros((k, k + 1), dtype=complex)
+        At = np.zeros((k, k + 1), dtype=complex)
+        Et[:, :k] = self.E.T
+        At[:, :k] = self.A.T
+        At[:, k] = -self.c
+        if not (np.isfinite(Et).all() and np.isfinite(At).all() and np.isfinite(self.b).all()):
+            raise ValueError("E, A, b and c must be finite")
+        nonzero = (Et != 0) | (At != 0)
+        column, row = np.arange(k + 1), np.arange(k)[:, None]
+        if np.any(nonzero & (column < row - 1)):
+            raise ValueError("the pencil zE - A must be zero above its superdiagonal")
+        nonzero &= column >= row
+        self._Et, self._At = Et, At
+        # row i > 0: its subdiagonal entry, then nonzeros from _starts[i] on
+        self._starts = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), k + 1)
 
     @property
     def order(self):
@@ -286,21 +311,68 @@ class Realization:
     def transfer(self, z):
         """Evaluate c^T (zE - A)^{-1} b at one or more points.
 
-        The pencils z_i E - A are stacked and solved together, one LAPACK
-        call per block of about 0.5 MB of pencil entries.
+        Solves (zE - A)^T y = c and returns b^T y, by Gaussian elimination
+        on the transposed pencil, which is upper Hessenberg: column j has
+        one entry below the diagonal, in row j + 1. Each point pivots
+        between the row carried from column j - 1 and row j + 1, on the
+        larger modulus in column j, and carries the other row minus a
+        multiple of the pivot row on to column j + 1. That is O(k^2) work
+        per point (a pencil row's entries before its first nonzero past
+        the subdiagonal are skipped), vectorized over blocks of about
+        k x points <= _TRANSFER_BLOCK_ENTRIES. Pivot rows are kept for back
+        substitution from the first nonzero of b on; for b = e_{k-1}, as
+        `realize` builds it, none is kept and b^T y is the last right-hand
+        side over the last pivot.
+
+        Raises PoleAtPointError, naming the point, where a pivot is exactly
+        zero, that is where the pencil is singular. For a realized model
+        that is a pole, or a support point of zero weight (where the model
+        itself is finite).
         """
         zv = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+        k = self.order
+        first = int(np.flatnonzero(self.b)[0]) if np.any(self.b) else k - 1
+        Et, At, starts = self._Et, self._At, self._starts
         out = np.empty(zv.size, dtype=complex)
-        rows = max(1, _TRANSFER_BLOCK_ENTRIES // self.order**2)
-        for start in range(0, zv.size, rows):
-            pencils = zv[start:start + rows, None, None] * self.E - self.A
-            # b as a stack of one-column matrices: numpy 1.x and 2.x read
-            # a 1-d right-hand side of a stacked solve differently
-            rhs = np.broadcast_to(self.b[:, None], (len(pencils), self.order, 1))
-            out[start:start + rows] = np.linalg.solve(pencils, rhs)[:, :, 0] @ self.c
+        rows = max(1, _TRANSFER_BLOCK_ENTRIES // (k * (k - first)))
+        for lo in range(0, zv.size, rows):
+            zb = zv[lo:lo + rows]
+            carried = zb * Et[0, :, None] - At[0, :, None]  # columns j..k
+            kept = []  # pivot rows of columns first..k-2
+            for j in range(k - 1):
+                i, s = j + 1, starts[j + 1]
+                new = zb * Et[i, j] - At[i, j]
+                swap = np.abs(new) > np.abs(carried[0])
+                pivot = np.where(swap, new, carried[0])
+                if not pivot.all():
+                    _raise_singular(zb, pivot)
+                minus_mult = -np.where(swap, carried[0], new) / pivot
+                tail = zb * Et[i, s:, None] - At[i, s:, None]
+                if j >= first:
+                    row = np.zeros_like(carried)
+                    row[0] = new
+                    row[s - j:] = tail
+                    kept.append(np.where(swap, row, carried))
+                # the row that was not the pivot, minus mult times the pivot
+                carried = carried[1:] * np.where(swap, 1, minus_mult)
+                carried[s - i:] += np.where(swap, minus_mult, 1) * tail
+            if not carried[0].all():
+                _raise_singular(zb, carried[0])
+            y = np.empty((k - first, zb.size), dtype=complex)  # y_first..y_{k-1}
+            y[-1] = carried[1] / carried[0]
+            for j in range(k - 2, first - 1, -1):
+                row = kept[j - first]
+                dot = np.einsum("mp,mp->p", row[1:-1], y[j - first + 1:])
+                y[j - first] = (row[-1] - dot) / row[0]
+            out[lo:lo + rows] = self.b[first:] @ y
         if np.isscalar(z) or np.shape(z) == ():
             return complex(out[0])
         return out.reshape(np.shape(z))
+
+
+def _raise_singular(z, pivots):
+    where = z[np.flatnonzero(pivots == 0)[0]]
+    raise PoleAtPointError("the pencil zE - A is singular at z = %s" % where)
 
 
 def realize(model):
@@ -308,22 +380,27 @@ def realize(model):
 
     Row i < k-1 of E carries +1 in column 0 and -1 in column i+1; the same
     rows of A carry lambda_0 and -lambda_{i+1}. The last row of A holds the
-    negated weights and c holds h_j*w_j, which makes the transfer function
-    equal the rational itself (the variant with the roles of those two
-    vectors swapped produces 1/r instead).
+    negated weights, b = e_{k-1} and c holds h_j*w_j, which makes the
+    transfer function equal the rational itself (the variant with the roles
+    of those two vectors swapped produces 1/r instead). Every nonzero sits
+    in column 0, on the superdiagonal or in the last row, so the pencil is
+    lower Hessenberg, as `Realization` requires, and `Realization.transfer`
+    costs O(k^2) per point. The pencil is singular exactly where the model
+    has a pole and at the support points of zero weight, where the model
+    itself is finite.
     """
     if model.is_constant or model.k < 1:
         raise ValueError("realization needs a barycentric model with k >= 1")
     lam = model.supports
     k = model.k
+    i = np.arange(k - 1)
     E = np.zeros((k, k), dtype=complex)
     A = np.zeros((k, k), dtype=complex)
-    for i in range(k - 1):
-        E[i, 0] = 1.0
-        E[i, i + 1] = -1.0
-        A[i, 0] = lam[0]
-        A[i, i + 1] = -lam[i + 1]
-    A[k - 1, :] = -model.weights
+    E[i, 0] = 1.0
+    E[i, i + 1] = -1.0
+    A[i, 0] = lam[0]
+    A[i, i + 1] = -lam[1:]
+    A[k - 1] = -model.weights
     b = np.zeros(k, dtype=complex)
     b[k - 1] = 1.0
     c = model.values * model.weights

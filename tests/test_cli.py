@@ -204,6 +204,16 @@ def test_realize_writes_the_four_matrix_files(tmp_path):
     assert (outdir / "A.csv").read_text().splitlines()[1] == "-3,-0"
 
 
+def test_realize_checks_the_transfer_past_a_pole_at_a_probe(tmp_path, caplog):
+    model_path = tmp_path / "model.json"
+    # the denominator 1/(z+1) + 1/(z-1) vanishes at the first probe, z = 0
+    save_model(model_path, RationalModel.barycentric([-1.0, 1.0], [2.0, 4.0], [1.0, 1.0]))
+    outdir = tmp_path / "rom"
+    with caplog.at_level("INFO", logger="baryfit"):
+        assert cli.main(["realize", "--model", str(model_path), "--out", str(outdir)]) == 0
+    assert "transfer check at z=0.5" in caplog.text
+
+
 def test_realize_rejects_constant_models(tmp_path):
     model_path = tmp_path / "model.json"
     save_model(model_path, RationalModel.constant(2.0))

@@ -1,11 +1,13 @@
 """Model evaluation, sample-set bookkeeping, and state-space realization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from baryfit import RationalModel, SampleSet, realize
-from baryfit.core import PoleAtPointError
+from baryfit import RationalModel, SampleSet, core, realize
+from baryfit.core import PoleAtPointError, Realization
 from helpers import (
     count_assemblies,
     distinct_complex,
@@ -13,6 +15,8 @@ from helpers import (
     random_instance,
     random_model,
 )
+
+EPS = np.finfo(float).eps
 
 
 def test_one_point_model_is_the_constant_h1():
@@ -273,6 +277,8 @@ def test_realize_single_point_hand_case():
     assert_array_equal(rom.c, [6.0 + 0j])
     for z in (0.0, 5.0, 1j):
         assert_allclose(rom.transfer(z), 2.0, rtol=1e-15)
+    # a 1 x 1 pencil takes no elimination step, for any number of points
+    assert_array_equal(rom.transfer(np.linspace(-3.0, 3.0, 7)), np.full(7, 2.0 + 0j))
 
 
 def test_realize_two_point_matches_eval():
@@ -323,3 +329,150 @@ def test_realize_transfer_keeps_the_shape_of_its_input():
 def test_realize_rejects_constant_model():
     with pytest.raises(ValueError):
         realize(RationalModel.constant(1.0))
+
+
+def test_realization_rejects_a_pencil_that_is_not_lower_hessenberg():
+    rom = realize(RationalModel.barycentric([2.0, 5.0, -3.0], [1.0, 4.0, 9.0], [1.0, 2.0, 3.0]))
+    for name in ("E", "A"):
+        pencil = {"E": rom.E.copy(), "A": rom.A.copy()}
+        pencil[name][0, 2] = 1e-300
+        with pytest.raises(ValueError, match="superdiagonal"):
+            Realization(pencil["E"], pencil["A"], rom.b, rom.c)
+    with pytest.raises(ValueError, match="k x k"):
+        Realization(rom.E[:2], rom.A, rom.b, rom.c)
+    with pytest.raises(ValueError, match="finite"):
+        Realization(rom.E, rom.A, rom.b, np.array([1.0, np.nan, 0.0]))
+    # the checked layout cannot change afterwards
+    E = rom.E.copy()
+    kept = Realization(E, rom.A, rom.b, rom.c)
+    E[0, 2] = 1.0
+    assert kept.E[0, 2] == 0 and not kept.E.flags.writeable
+
+
+def test_transfer_raises_where_the_pencil_is_singular():
+    model = RationalModel.barycentric([0.0, 1.0], [1.0, 3.0], [1.0, 1.0])  # pole at 0.5
+    rom = realize(model)
+    with pytest.raises(PoleAtPointError):
+        model(0.5)
+    with pytest.raises(PoleAtPointError, match=r"z = \(0\.5\+0j\)"):
+        rom.transfer(0.5)
+    with pytest.raises(PoleAtPointError, match=r"z = \(0\.5\+0j\)"):
+        rom.transfer([2.0, 0.5, 3.0])
+    # at a support of zero weight the model is finite, the pencil singular
+    model = RationalModel.barycentric([0.0, 1.0, 2.0], [1.0, 3.0, 5.0], [1.0, 0.0, -1.0])
+    assert model(1.0) == 3.0
+    with pytest.raises(PoleAtPointError, match=r"z = \(1\+0j\)"):
+        realize(model).transfer([0.5, 1.0])
+
+
+def _dense_transfer(rom, z):
+    """Oracle: c^T (zE - A)^{-1} b by one dense solve per point."""
+    return np.array([np.linalg.solve(p * rom.E - rom.A, rom.b) @ rom.c for p in z])
+
+
+def _assert_near_dense_solve(rom, model, z, got):
+    """`got` is within ten times the dense solve's own deviation from the
+    model (at least k eps times the model's size) of that solve."""
+    want = _dense_transfer(rom, z)
+    r = model(z)
+    band = 10 * max(np.abs(want - r).max(), model.k * EPS * np.abs(r).max())
+    assert np.abs(got - want).max() <= band
+
+
+def _model_with_zero_weights(rng, k):
+    """Random complex model; up to a third of its weights are zero."""
+    weights = nonzero_complex(rng, k)
+    if k > 1:
+        weights[rng.choice(k, size=int(rng.integers(0, k // 3 + 1)), replace=False)] = 0
+    values = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return RationalModel.barycentric(distinct_complex(rng, k, scale=2.0), values, weights)
+
+
+def test_transfer_matches_a_dense_solve_on_random_models():
+    rng = np.random.default_rng(61)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for k in range(1, 31):
+            model = _model_with_zero_weights(rng, k)
+            rom = realize(model)
+            z = distinct_complex(rng, 100, scale=3.0)
+            _assert_near_dense_solve(rom, model, z, rom.transfer(z))
+
+
+def test_transfer_interpolates_at_supports_of_nonzero_weight():
+    rng = np.random.default_rng(67)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for k in range(1, 31):
+            model = _model_with_zero_weights(rng, k)
+            rom = realize(model)
+            live = model.weights != 0
+            got = rom.transfer(model.supports[live])
+            _assert_near_dense_solve(rom, model, model.supports[live], got)
+            assert_allclose(got, model.values[live], rtol=0, atol=100 * k * EPS * np.abs(model.values).max())
+
+
+@pytest.mark.parametrize("k", [7, 30])
+def test_transfer_across_block_boundaries(k):
+    rng = np.random.default_rng(71 + k)
+    model = _model_with_zero_weights(rng, k)
+    rom = realize(model)
+    rows = core._TRANSFER_BLOCK_ENTRIES // k  # points per block when b = e_{k-1}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for count in (rows - 1, rows, rows + 1):
+            z = distinct_complex(rng, count, scale=3.0)
+            _assert_near_dense_solve(rom, model, z, rom.transfer(z))
+
+
+def test_transfer_of_general_lower_hessenberg_pencils():
+    """Any b: the pivot rows from b's first nonzero on are back-substituted."""
+    rng = np.random.default_rng(73)
+    for k, first in ((1, 0), (2, 0), (6, 0), (6, 3), (8, 2), (9, 8)):
+        E, A = (np.tril(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)), 1)
+                for _ in range(2))
+        b = np.zeros(k, dtype=complex)
+        b[first:] = nonzero_complex(rng, k - first)
+        c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        rom = Realization(E, A, b, c)
+        count = core._TRANSFER_BLOCK_ENTRIES // (k * (k - first)) + 1 if k == 8 else 60
+        z = distinct_complex(rng, count, scale=2.0)
+        got = rom.transfer(z)
+        for p, value in zip(z, got):
+            pencil = p * E - A
+            x = np.linalg.solve(pencil, b)
+            # forward error of a backward stable solve, and of the product
+            tol = 100 * k * EPS * np.linalg.cond(pencil) * np.linalg.norm(c) * np.linalg.norm(x)
+            assert abs(value - c @ x) <= tol
+
+
+def _rounding_bound(model, z, r):
+    """First-order bound on the rounding error of the barycentric formula
+    at points off the supports, as in perfbench/checks.bary_eval:
+    (k+3) eps (sum|w h/(z-l)| + |r| sum|w/(z-l)|) / |d(z)|."""
+    terms = model.weights / (z[:, None] - model.supports)
+    sizes = np.abs(terms) @ np.abs(model.values) + np.abs(r) * np.abs(terms).sum(axis=1)
+    return (model.k + 3) * EPS * sizes / np.abs(terms.sum(axis=1))
+
+
+@pytest.mark.parametrize("k, zero", [(21, [0, 5, 11, 17]), (21, [9]), (30, [3, 8, 14, 20, 27, 29]),
+                                     (12, [1, 2, 3])])
+def test_transfer_keeps_to_the_rounding_bound_with_zero_weight_supports(k, zero):
+    """Chebyshev points of [-1, 1] in scrambled order, zero weights at the
+    `zero` positions of the realization (0 is the pencil's first column),
+    and weights of alternating sign over the other supports in increasing
+    order, so no pole on the real line. On a grid of [-1, 1], transfer and
+    model differ by at most twice the bound, the most two correct
+    evaluations can differ by."""
+    rng = np.random.default_rng(k)
+    supports = np.cos(np.pi * (rng.permutation(k) + 0.5) / k)
+    weights = np.zeros(k)
+    live = np.setdiff1d(np.arange(k), zero)
+    weights[live[np.argsort(supports[live])]] = (-1.0) ** np.arange(live.size)
+    model = RationalModel.barycentric(supports, np.abs(supports) + 0.5j * supports, weights)
+    z = -1 + (2 * np.arange(4000) + 1) / 4000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = realize(model).transfer(z)
+    r = model(z)
+    assert np.all(np.abs(got - r) <= 2 * _rounding_bound(model, z, r))
