@@ -74,9 +74,9 @@ def greedy_select(res, data):
     return int(idx[int(np.argmax(res))])
 
 
-def levy_weights(supports, interp_values, data):
-    """Unit-norm weights minimizing ||(GC - CH) w|| over the active samples."""
-    return min_unit_norm_solution(levy_matrix(data.levy_system(supports, interp_values)))
+def levy_weights(system):
+    """Unit-norm weights minimizing ||(GC - CH) w|| over the system's samples."""
+    return min_unit_norm_solution(levy_matrix(system))
 
 
 def _greedy_fit(data, cfg, choose_index, choose_weights):
@@ -143,5 +143,5 @@ def aaa_fit(data, cfg):
         data,
         cfg,
         lambda res, work, branch: greedy_select(res, work),
-        lambda model, work, system: (min_unit_norm_solution(levy_matrix(system)), "levy"),
+        lambda model, work, system: (levy_weights(system), "levy"),
     )

@@ -64,15 +64,13 @@ class LevySystem:
     active_points: np.ndarray
     supports: np.ndarray
 
-    def numerator_matrix(self):
-        """Matrix P with P[i, j] = h_j/(z_i - lambda_j), so n(z_i; w) = (Pw)_i."""
-        return self.cauchy * self.interp_values[None, :]
-
     def shifted_numerator_matrix(self, a):
         """P - diag(a) C, with entries (h_j - a_i)/(z_i - lambda_j): the
         derivative of n(z_i; w) - a_i d(z_i; w) in w, which the WF step solves
-        with and every criterion gradient contracts with its residuals."""
-        F = self.numerator_matrix()
+        with and every criterion gradient contracts with its residuals. P,
+        with P[i, j] = h_j/(z_i - lambda_j), is the numerator matrix, so
+        n(z_i; w) = (Pw)_i."""
+        F = self.cauchy * self.interp_values[None, :]
         F -= a[:, None] * self.cauchy
         return F
 

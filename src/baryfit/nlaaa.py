@@ -3,8 +3,7 @@
 NL-AAA is the greedy loop of AAA (``aaa._greedy_fit``) with other weights:
 on the step's LevySystem it compares an SK run against a single WF step
 seeded with the previous weights (extended by a zero for the new support),
-runs the full WF iteration from the better of the two (continuing that
-single step when it won), and keeps the previous model (zero weight on the
+runs the full WF iteration from the better of the two, and keeps the previous model (zero weight on the
 new support) whenever nothing beats it on the full data set. That last
 fallback makes the reported full-data error provably non-increasing; the
 step after a fallback ranks the loop's active residuals |r - H| with a
@@ -83,20 +82,15 @@ def select_weights(system, data, w_prev_ext, cfg, prev_err):
     sk = sk_iterate(system, cfg.refine)
     err_sk = float(np.min(sk.errors))
     try:
-        w1 = wf_step(system, w_prev_ext)
+        err_w1 = system.residual_sq_sum(wf_step(system, w_prev_ext))
     except NumericalError:
         # d(z_i; w_prev_ext) = 0 at an active sample: nothing to step from
-        first, err_w1 = None, np.inf
-    else:
-        first = (w1, system.evaluate(w1))
-        err_w1 = first[1][2]
+        err_w1 = np.inf
     if err_sk < err_w1:
-        run = wf_iterate(system, sk.weights, cfg.refine)
-        branch = "wf-from-sk"
+        start, branch = sk.weights, "wf-from-sk"
     else:
-        # the WF run from w_prev_ext starts with the step just taken
-        run = wf_iterate(system, w_prev_ext, cfg.refine, first=first)
-        branch = "wf-from-prev"
+        start, branch = w_prev_ext, "wf-from-prev"
+    run = wf_iterate(system, start, cfg.refine)
     supports, interp_values = system.supports, system.interp_values
     candidate_err = full_squared_error(supports, interp_values, run.weights, data)
     prev_ext_err = full_squared_error(supports, interp_values, w_prev_ext, data)

@@ -7,8 +7,7 @@ linearization of the rational map with the pivot weight pinned to 1.
 Neither iteration is guaranteed to converge monotonically, so both record
 the raw active squared error of every iterate and return the best one.
 Each iterate's error and the next step share one evaluation of n and d.
-A WF run has one entry point, :func:`wf_iterate`, which can continue from a
-first step its caller already took.
+A WF run has one entry point, :func:`wf_iterate`.
 """
 
 from dataclasses import dataclass
@@ -137,7 +136,7 @@ def _pivot_normalized_diff(w, w_prev, pivot):
     return float(np.linalg.norm(w / w[pivot] - w_prev / w_prev[pivot]))
 
 
-def wf_iterate(system, w0, cfg, first=None):
+def wf_iterate(system, w0, cfg):
     """Repeated WF steps from w0; error of w0 itself is recorded as entry 0.
 
     The pivot is chosen once from w0 (index 0 unless that entry is
@@ -146,10 +145,6 @@ def wf_iterate(system, w0, cfg, first=None):
     error (its denominator vanishes at an active sample, or the residual
     overflows) ends the iteration: there is nothing to linearize around, and
     the best earlier iterate is returned.
-
-    `first`, when given, is ``(w1, system.evaluate(w1))`` for
-    ``w1 = wf_step(system, w0)``, a first step the caller already took; the
-    run then continues from it and equals the run without it bit for bit.
     """
     w0 = np.asarray(w0, dtype=complex)
     pivot = _choose_pivot(w0)
@@ -157,12 +152,8 @@ def wf_iterate(system, w0, cfg, first=None):
     iterates, errors = [w0], [err]
     converged = False
     while len(iterates) <= cfg.p_max and np.isfinite(errors[-1]):
-        if first is None:
-            w = _linearized_step(system, n, d, pivot)
-            n, d, err = system.evaluate(w)
-        else:
-            w, (n, d, err) = first
-            first = None
+        w = _linearized_step(system, n, d, pivot)
+        n, d, err = system.evaluate(w)
         iterates.append(w)
         errors.append(err)
         if _pivot_normalized_diff(w, iterates[-2], pivot) < cfg.tol_wf:

@@ -58,7 +58,7 @@ def test_greedy_select_needs_active_samples():
 
 def test_levy_weights_single_support_is_unit_scalar():
     data = SampleSet([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [False, True, True])
-    w = levy_weights([0.0], [1.0], data)
+    w = levy_weights(data.levy_system([0.0], [1.0]))
     assert w.shape == (1,)
     assert abs(abs(w[0]) - 1.0) < 1e-14
 
@@ -71,7 +71,7 @@ def test_levy_weights_exact_rational_data_null_vector():
     data = SampleSet(x, H, mask)
     supports = x[[0, 20]]
     interp = H[[0, 20]]
-    w = levy_weights(supports, interp, data)
+    w = levy_weights(data.levy_system(supports, interp))
     system = assemble_levy_system(data.active_points(), data.active_values(), supports, interp)
     L = levy_matrix(system)
     assert np.linalg.norm(L @ w) <= 1e-12 * np.linalg.norm(L)
@@ -79,7 +79,7 @@ def test_levy_weights_exact_rational_data_null_vector():
 
 def test_levy_weights_constant_data_zero_residual():
     data = SampleSet([0.5, 1.5, 2.5], [3.0, 3.0, 3.0], [True, True, False])
-    w = levy_weights([2.5], [3.0], data)
+    w = levy_weights(data.levy_system([2.5], [3.0]))
     system = assemble_levy_system(
         data.active_points(), data.active_values(), [2.5], [3.0]
     )
@@ -164,7 +164,7 @@ def test_aaa_trace_matches_independent_replay():
         if rec.k == 1:
             w = np.ones(1, dtype=complex)
         else:
-            w = levy_weights(supports, interp, work)
+            w = levy_weights(work.levy_system(supports, interp))
         model = RationalModel.barycentric(supports, interp, w)
         raw = float(np.sum(np.abs(model(work.active_points()) - work.active_values()) ** 2))
         assert_allclose(rec.raw_active_sq_err, raw, rtol=1e-12, atol=1e-25)

@@ -165,7 +165,7 @@ def test_criterion_5_gradient_identities_on_random_instances():
             assemble_levy_system(data.active_points(), data.active_values(), supports, interp),
             RefineConfig(p_max=1, tol_sk=0.0),
         )
-        w_levy = levy_weights(supports, interp, data)
+        w_levy = levy_weights(data.levy_system(supports, interp))
         probes = rng.standard_normal(100) + 1j * rng.standard_normal(100)
         probes = probes[np.abs(probes[:, None] - supports[None, :]).min(axis=1) > 1e-6]
         system = assemble_levy_system(probes, np.zeros(probes.size), supports, interp)
@@ -202,7 +202,7 @@ def test_criterion_6_converged_wf_runs_are_stationary():
             points = np.unique(np.append(points, cand[keep]))[:m]
         H = model(points) + 0.01 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
         data = SampleSet(points, H)
-        w0 = levy_weights(model.supports, model.values, data)
+        w0 = levy_weights(data.levy_system(model.supports, model.values))
         run = wf_iterate(
             assemble_levy_system(
                 data.active_points(), data.active_values(), model.supports, model.values

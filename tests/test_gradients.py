@@ -50,7 +50,7 @@ def test_exact_fit_has_zero_gradient():
     mask[[0, 10]] = False
     data = SampleSet(x, H, mask)
     supports, interp = x[[0, 10]], H[[0, 10]]
-    w = levy_weights(supports, interp, data)
+    w = levy_weights(data.levy_system(supports, interp))
     for g in (
         grad_nonlinear(supports, interp, data, w),
         grad_levy(supports, interp, data, w),
@@ -97,7 +97,7 @@ def test_nonlinear_gradient_single_instance_tight_tolerance():
 def test_projected_levy_gradient_vanishes_at_the_svd_minimizer():
     rng = np.random.default_rng(109)
     supports, interp, data = random_instance(rng, 4, 20)
-    w = levy_weights(supports, interp, data)
+    w = levy_weights(data.levy_system(supports, interp))
     g = grad_levy(supports, interp, data, w)
     ascent = 2.0 * np.conj(g)  # steepest ascent in the real geometry
     projected = ascent - np.real(np.vdot(w, ascent)) * w
@@ -151,7 +151,7 @@ def _conjugate_wirtinger(system, w, w_prev, which):
     """Independent dE/d(conj w), from differentiating the conjugated factor of
     each criterion; plain python loops on purpose."""
     C = system.cauchy
-    P = system.numerator_matrix()
+    P = C * system.interp_values[None, :]
     H = system.data_values
     n = P @ w
     d = C @ w
