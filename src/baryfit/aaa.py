@@ -91,12 +91,20 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
     first step's weight is 1. One `system.residual_sq_sum` of the new
     weights gives both the stopping error and the next `res`. A "fallback"
     step keeps the model's function, so its metrics carry over.
+
+    The loop fits H / 2^e, with e chosen so that max|H| / 2^e lies in
+    [1, 2). A power-of-two scale is exact and every kernel is homogeneous
+    in H, so this is the fit of H itself, but no squared sum overflows or
+    underflows whatever the scale of H. The stopping error is reported and
+    tested in data units (inf where it exceeds the double range), and the
+    returned model takes its support values from `data`.
     """
-    work = SampleSet(data.points, data.values)
+    e = int(np.frexp(np.abs(data.values).max())[1]) - 1
+    # ldexp on the (re, im) float pairs that make up each complex value
+    work = SampleSet(data.points, np.ldexp(data.values.view(float), -e).view(complex))
     res = np.abs(np.mean(work.values) - work.values)
     model = None
-    supports = np.empty(0, dtype=complex)
-    interp_values = np.empty(0, dtype=complex)
+    picked = []
     branch = None
     trace = FitTrace()
     reached_tol = False
@@ -105,20 +113,21 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
             # taking another support would leave no active data to fit
             break
         idx = choose_index(res, work, branch)
-        supports = np.append(supports, work.points[idx])
-        interp_values = np.append(interp_values, work.values[idx])
+        picked.append(idx)
+        supports = work.points[picked]
         work = work.deactivate(idx)
-        system = work.levy_system(supports, interp_values)
+        system = work.levy_system(supports, work.values[picked])
         if k == 1:
             w, branch = np.ones(1, dtype=complex), "levy"
         else:
             w, branch = choose_weights(model, work, system)
-        model = RationalModel.barycentric(supports, interp_values, w)
+        model = RationalModel.barycentric(supports, work.values[picked], w)
         res = np.empty(work.active_count)
-        raw = system.residual_sq_sum(w, out=res)
+        with np.errstate(over="ignore"):
+            raw = float(np.ldexp(system.residual_sq_sum(w, out=res), 2 * e))
         res[np.isnan(res)] = np.inf
         if branch != "fallback":
-            m = metrics(model, data)
+            m = metrics(model, work)
         trace.records.append(
             TraceRecord(k, k - 1, complex(supports[-1]), raw, m.l2, m.linf, branch)
         )
@@ -126,7 +135,7 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
             reached_tol = True
             break
     trace.budget_exhausted = not reached_tol
-    return model, trace
+    return RationalModel.barycentric(model.supports, data.values[picked], model.weights), trace
 
 
 def aaa_fit(data, cfg):

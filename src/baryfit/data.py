@@ -48,15 +48,18 @@ def metrics(model, data):
     l2 = sqrt(sum |H - r|^2) / sqrt(sum |H|^2) and
     linf = max |H - r| / max |H|, both over all M samples regardless of the
     active partition. Raises NumericalError when every H is zero, since the
-    normalizations are undefined then.
+    normalizations are undefined then. Both sums of squares are taken after
+    dividing by the same power of two, near max |H|, so they neither
+    overflow nor underflow at any scale of H, and the ratio is exact.
     """
     r = model(data.points)
-    H = data.values
-    h_linf = float(np.abs(H).max())
+    mags = np.abs(data.values)
+    h_linf = float(mags.max())
     if h_linf == 0.0:
         raise NumericalError("all sample values are zero; normalized errors undefined")
-    res = np.abs(H - r)
-    l2 = float(np.sqrt(np.sum(res**2) / np.sum(np.abs(H) ** 2)))
+    res = np.abs(data.values - r)
+    e = int(np.frexp(h_linf)[1])
+    l2 = float(np.sqrt(np.sum(np.ldexp(res, -e) ** 2) / np.sum(np.ldexp(mags, -e) ** 2)))
     linf = float(res.max() / h_linf)
     return MetricPair(l2, linf)
 

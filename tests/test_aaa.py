@@ -1,10 +1,21 @@
 """Greedy selection, Levy weight solves, and the full AAA loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from baryfit import FitConfig, RationalModel, SampleSet, aaa_fit, metrics, sample_builtin
+from baryfit import (
+    FitConfig,
+    NlaaaConfig,
+    RationalModel,
+    SampleSet,
+    aaa_fit,
+    metrics,
+    nlaaa_fit,
+    sample_builtin,
+)
 from baryfit import aaa
 from baryfit.aaa import greedy_select, levy_weights
 from baryfit.linalg import LevySystem, assemble_levy_system, levy_matrix
@@ -13,7 +24,8 @@ from helpers import rational_samples, unit_grid
 
 def test_initial_model_is_the_mean(monkeypatch):
     """The loop starts from the constant mean of the values: its first
-    selection ranks |mean - H| over all samples."""
+    selection ranks |mean - H| over all samples, in the loop's units of
+    H / 2^e with max |H| / 2^e in [1, 2)."""
     seen = []
     original = aaa.greedy_select
 
@@ -22,10 +34,10 @@ def test_initial_model_is_the_mean(monkeypatch):
         return original(res, data)
 
     monkeypatch.setattr(aaa, "greedy_select", spy)
-    for values, mean in (([1.0, 2.0, 3.0], 2.0), ([1 + 1j, 1 - 1j], 1.0)):
+    for values, mean, scale in (([1.0, 2.0, 3.0], 2.0, 0.5), ([1 + 1j, 1 - 1j], 1.0, 1.0)):
         seen.clear()
         aaa_fit(SampleSet(np.arange(len(values)), values), FitConfig(max_degree=0))
-        assert_array_equal(seen[0], np.abs(mean - np.asarray(values)))
+        assert_array_equal(seen[0], scale * np.abs(mean - np.asarray(values)))
 
 
 def test_greedy_select_breaks_ties_at_lowest_index():
@@ -205,3 +217,36 @@ def test_each_aaa_step_evaluates_its_weights_once(monkeypatch):
     _, trace = aaa_fit(sample_builtin("relu", 501), FitConfig(max_degree=14, tol=0.0))
     assert len(trace.records) == 15
     assert calls == {"numerators": 15, "denominators": 15, "residual_sq_sum": 15}
+
+
+FITS = [(aaa_fit, FitConfig), (nlaaa_fit, NlaaaConfig)]
+
+
+@pytest.mark.parametrize("fit, config", FITS)
+def test_fits_are_equivariant_under_power_of_two_scaling(fit, config):
+    data = sample_builtin("relu", 201)
+    cfg = config(max_degree=12, tol=0.0)
+    model, trace = fit(data, cfg)
+    for j in (600, -600):
+        scaled = SampleSet(data.points, np.ldexp(data.values.real, j))
+        got, got_trace = fit(scaled, cfg)
+        assert_array_equal(got.weights, model.weights)
+        assert_array_equal(got.supports, model.supports)
+        # the support values are the scaled samples themselves
+        assert_array_equal(got.values, np.ldexp(model.values.real, j))
+        for a, b in zip(got_trace.records, trace.records):
+            assert (a.branch, a.l2_norm, a.linf_norm) == (b.branch, b.l2_norm, b.linf_norm)
+            with np.errstate(over="ignore"):
+                assert a.raw_active_sq_err == np.ldexp(b.raw_active_sq_err, 2 * j)
+
+
+@pytest.mark.parametrize("fit, config", FITS)
+def test_fits_of_huge_and_tiny_data_have_finite_errors(fit, config):
+    x = sample_builtin("abs", 41).points
+    for c in (1e200, 1e-200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model, trace = fit(SampleSet(x, c * np.exp(5 * x)), config(max_degree=10, tol=0.0))
+        assert trace.records[-1].l2_norm < 1e-12
+        assert all(r.branch != "fallback" for r in trace.records)
+        assert metrics(model, SampleSet(x, c * np.exp(5 * x))).l2 < 1e-12

@@ -5,10 +5,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from baryfit import (
+    FitConfig,
     FitTrace,
     RationalModel,
     SampleSet,
     TraceRecord,
+    aaa_fit,
     metrics,
     realize,
     sample_builtin,
@@ -103,6 +105,23 @@ def test_metrics_reject_identically_zero_data():
     data = SampleSet([0.0, 1.0], [0.0, 0.0])
     with pytest.raises(NumericalError):
         metrics(RationalModel.constant(1.0), data)
+
+
+def test_metrics_are_exact_under_power_of_two_scaling():
+    data = sample_builtin("relu", 101)
+    model, _ = aaa_fit(data, FitConfig(max_degree=6, tol=0.0))
+    want = metrics(model, data)
+    assert 0.0 < want.l2 < np.inf
+    for j in (600, -600):
+        scaled = RationalModel.barycentric(
+            model.supports, np.ldexp(model.values.real, j), model.weights
+        )
+        got = metrics(scaled, SampleSet(data.points, np.ldexp(data.values.real, j)))
+        assert got == want
+    for c in (1e200, 1e-200):
+        scaled = RationalModel.barycentric(model.supports, c * model.values, model.weights)
+        got = metrics(scaled, SampleSet(data.points, c * data.values))
+        assert_allclose(got, want, rtol=1e-12)
 
 
 # ------------------------------------------------------------- sample files

@@ -1,0 +1,98 @@
+"""Property tests on inputs the builtins never produce.
+
+Each property holds for every drawn input, so the tests check invariants
+and bands, not golden numbers. The draws are derandomized, so a run is
+reproducible and no example database is written.
+"""
+
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
+
+from baryfit import FitConfig, NlaaaConfig, SampleSet, aaa_fit, nlaaa_fit, sample_builtin
+from baryfit.data import BUILTIN_FUNCTIONS
+
+FITS = ((aaa_fit, FitConfig), (nlaaa_fit, NlaaaConfig))
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _settings(examples):
+    return settings(derandomize=True, deadline=None, database=None, max_examples=examples)
+
+
+def _fit_without_runtime_warnings(fit, data, cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return fit(data, cfg)
+
+
+def _transfer_function_samples(seed, order, count=20):
+    """c^T (sI - A)^{-1} b of a random stable real A of the given order, at
+    +-i omega for `count` log-spaced omega in [10^-1.5, 10^1.5]: samples
+    closed under conjugation, of a rational of degree `order`."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((order, order))
+    # every eigenvalue of A has real part <= -0.1
+    A = M - (np.abs(np.linalg.eigvals(M)).max() + 0.1) * np.eye(order)
+    b, c = rng.standard_normal(order), rng.standard_normal(order)
+    omega = np.logspace(-1.5, 1.5, count)
+    s = 1j * np.concatenate([omega, -omega])
+    H = np.array([c @ np.linalg.solve(si * np.eye(order) - A, b) for si in s])
+    return SampleSet(s, H)
+
+
+@_settings(12)
+@given(seed=SEEDS, order=st.integers(1, 6))
+def test_nlaaa_recovers_a_stable_real_system_on_the_imaginary_axis(seed, order):
+    data = _transfer_function_samples(seed, order)
+    _, trace = _fit_without_runtime_warnings(
+        nlaaa_fit, data, NlaaaConfig(max_degree=order, tol=0.0)
+    )
+    l2 = [r.l2_norm for r in trace.records]
+    assert all(b <= a for a, b in zip(l2, l2[1:]))
+    assert l2[-1] <= 1e-10
+
+
+@_settings(8)
+@given(j=st.integers(-700, 700))
+def test_fits_are_equivariant_under_any_power_of_two_scale(j):
+    data = sample_builtin("abs", 41)
+    scaled = SampleSet(data.points, np.ldexp(data.values.real, j))
+    for fit, config in FITS:
+        cfg = config(max_degree=8, tol=0.0)
+        model, trace = fit(data, cfg)
+        got, got_trace = _fit_without_runtime_warnings(fit, scaled, cfg)
+        assert_array_equal(got.weights, model.weights)
+        assert_array_equal(got.values, np.ldexp(model.values.real, j))
+        assert [(r.branch, r.l2_norm, r.linf_norm) for r in got_trace.records] == [
+            (r.branch, r.l2_norm, r.linf_norm) for r in trace.records
+        ]
+
+
+@_settings(10)
+@given(seed=SEEDS, count=st.integers(2, 8))
+def test_fewer_samples_than_the_budget_end_at_one_support_short(seed, count):
+    rng = np.random.default_rng(seed)
+    data = SampleSet(
+        np.sort(rng.uniform(-1.0, 1.0, count)),
+        rng.standard_normal(count) + 1j * rng.standard_normal(count),
+    )
+    for fit, config in FITS:
+        _, trace = fit(data, config(max_degree=count + 2, tol=0.0))
+        assert trace.records[-1].k == count - 1
+        assert trace.budget_exhausted
+
+
+@_settings(6)
+@given(name=st.sampled_from(sorted(BUILTIN_FUNCTIONS)), i=st.integers(0, 39))
+def test_fits_finish_on_near_coincident_points(name, i):
+    # a sample 1e-15 to the right of grid point i
+    x = sample_builtin("abs", 41).points.real
+    x = np.insert(x, i + 1, x[i] + 1e-15)
+    data = SampleSet(x, BUILTIN_FUNCTIONS[name](x))
+    for fit, config in FITS:
+        _, trace = fit(data, config(max_degree=10, tol=0.0))
+        assert len(trace.records) == 11
