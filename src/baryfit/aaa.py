@@ -114,14 +114,14 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
             break
         idx = choose_index(res, work, branch)
         picked.append(idx)
-        supports = work.points[picked]
+        supports, interp_values = work.points[picked], work.values[picked]
         work = work.deactivate(idx)
-        system = work.levy_system(supports, work.values[picked])
+        system = work.levy_system(supports, interp_values)
         if k == 1:
             w, branch = np.ones(1, dtype=complex), "levy"
         else:
             w, branch = choose_weights(model, work, system)
-        model = RationalModel.barycentric(supports, work.values[picked], w)
+        model = RationalModel.barycentric(supports, interp_values, w)
         res = np.empty(work.active_count)
         with np.errstate(over="ignore"):
             raw = float(np.ldexp(system.residual_sq_sum(w, out=res), 2 * e))
