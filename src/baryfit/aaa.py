@@ -9,6 +9,7 @@ with NL-AAA, which swaps in its own index and weight choices. As in AAA
 weights gives its stopping error and the mismatches the next step ranks.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,7 +100,7 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
     tested in data units (inf where it exceeds the double range), and the
     returned model takes its support values from `data`.
     """
-    e = int(np.frexp(np.abs(data.values).max())[1]) - 1
+    e = math.frexp(np.abs(data.values).max())[1] - 1
     # ldexp on the (re, im) float pairs that make up each complex value
     work = SampleSet(data.points, np.ldexp(data.values.view(float), -e).view(complex))
     res = np.abs(np.mean(work.values) - work.values)
@@ -123,8 +124,10 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
             w, branch = choose_weights(model, work, system)
         model = RationalModel.barycentric(supports, interp_values, w)
         res = np.empty(work.active_count)
-        with np.errstate(over="ignore"):
-            raw = float(np.ldexp(system.residual_sq_sum(w, out=res), 2 * e))
+        try:
+            raw = math.ldexp(system.residual_sq_sum(w, out=res), 2 * e)
+        except OverflowError:
+            raw = math.inf
         res[np.isnan(res)] = np.inf
         if branch != "fallback":
             m = metrics(model, work)

@@ -9,6 +9,7 @@ trip is bit-exact.
 
 import csv
 import json
+import math
 import os
 from typing import NamedTuple
 
@@ -58,8 +59,11 @@ def metrics(model, data):
     if h_linf == 0.0:
         raise NumericalError("all sample values are zero; normalized errors undefined")
     res = np.abs(data.values - r)
-    e = int(np.frexp(h_linf)[1])
-    l2 = float(np.sqrt(np.sum(np.ldexp(res, -e) ** 2) / np.sum(np.ldexp(mags, -e) ** 2)))
+    e = math.frexp(h_linf)[1]
+    num, den = np.ldexp(res, -e), np.ldexp(mags, -e)
+    num *= num
+    den *= den
+    l2 = float(np.sqrt(num.sum() / den.sum()))
     linf = float(res.max() / h_linf)
     return MetricPair(l2, linf)
 
