@@ -3,12 +3,13 @@
 NL-AAA is the greedy loop of AAA (``aaa._greedy_fit``) with other weights:
 on the step's LevySystem it compares an SK run against a single WF step
 seeded with the previous weights (extended by a zero for the new support),
-runs the full WF iteration from the better of the two, and keeps the previous model (zero weight on the
-new support) whenever nothing beats it on the full data set. That last
-fallback makes the reported full-data error provably non-increasing; the
-step after a fallback ranks the loop's active residuals |r - H| with a
-probabilistic or relative-error variant of the greedy selection, so the
-same support choice cannot stall the iteration twice.
+runs the full WF iteration from the better of the two, and keeps the
+previous model (zero weight on the new support) whenever nothing beats it
+on the full data set. That last fallback makes the reported full-data
+error provably non-increasing; the step after a fallback ranks the loop's
+active residuals |r - H| with a probabilistic or relative-error variant of
+the greedy selection, so the same support choice cannot stall the
+iteration twice.
 """
 
 from dataclasses import dataclass, field
