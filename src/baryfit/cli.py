@@ -19,6 +19,7 @@ from .core import NumericalError, SampleSet, realize
 from .data import (
     BUILTIN_FUNCTIONS,
     SAMPLE_HEADER,
+    _fmt,
     load_model,
     load_samples,
     read_complex_rows,
@@ -45,8 +46,6 @@ from .refine import RefineConfig
 log = logging.getLogger("baryfit")
 
 _LOG_LEVELS = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-
-_FMT = "%.17g"
 
 
 def _configure_logging():
@@ -102,7 +101,7 @@ def cmd_fit(args):
     if trace.budget_exhausted:
         log.info("budget_exhausted: tolerance not reached within the degree budget")
     log.info("%s finished at degree %d after %d iterations", args.algo, last.degree, len(trace.records))
-    print("degree=%d l2=%s linf=%s" % (last.degree, _FMT % last.l2_norm, _FMT % last.linf_norm))
+    print("degree=%d l2=%s linf=%s" % (last.degree, _fmt(last.l2_norm), _fmt(last.linf_norm)))
     return 0
 
 
@@ -111,7 +110,7 @@ def cmd_eval(args):
     points = read_complex_rows(args.points, [SAMPLE_HEADER[:2], SAMPLE_HEADER])[0][:, 0]
     values = np.atleast_1d(model(points))
     for v in values:
-        print("%s,%s" % (_FMT % v.real, _FMT % v.imag))
+        print("%s,%s" % (_fmt(v.real), _fmt(v.imag)))
     return 0
 
 
@@ -198,8 +197,8 @@ def cmd_compare(args):
             rn = n_recs[min(i, len(n_recs) - 1)]
             f.write(
                 "%d,%s,%s,%s,%s\n"
-                % (i + 1, _FMT % ra.l2_norm, _FMT % rn.l2_norm,
-                   _FMT % ra.linf_norm, _FMT % rn.linf_norm)
+                % (i + 1, _fmt(ra.l2_norm), _fmt(rn.l2_norm),
+                   _fmt(ra.linf_norm), _fmt(rn.linf_norm))
             )
     log.info(
         "compare finished: aaa l2=%.3e, nlaaa l2=%.3e over %d samples",

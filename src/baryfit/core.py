@@ -146,8 +146,8 @@ class SampleSet:
 
 # Cauchy entries per row block of model evaluation (16 bytes each: 64 KB).
 _EVAL_BLOCK_ENTRIES = 4096
-# Pencil entries per block of Realization.transfer (0.5 MB): k per point, the
-# row its elimination carries, times k - i if b's first nonzero is b_i.
+# Pencil entries per block of Realization.transfer (0.5 MB): k per point,
+# the row its elimination carries.
 _TRANSFER_BLOCK_ENTRIES = 32768
 
 
@@ -271,21 +271,23 @@ class RationalModel:
 class Realization:
     """Descriptor state-space realization (E, A, b, c) of a rational model.
 
-    The transfer function c^T (zE - A)^{-1} b reproduces the model at every
-    point away from the support set. The pencil must be lower Hessenberg:
-    E and A are zero above their superdiagonal, as `realize` builds them.
-    The constructor checks that layout once and keeps read-only copies of
-    the four arrays, so it cannot change afterwards.
+    The transfer function c^T (zE - A)^{-1} b, with b = e_{k-1}, reproduces
+    the model at every point away from the support set. The pencil must be
+    lower Hessenberg: E and A are zero above their superdiagonal, as
+    `realize` builds them. The constructor checks that layout once and
+    keeps the four arrays read-only (E, A and c as copies), so it cannot
+    change afterwards.
     """
 
-    def __init__(self, E, A, b, c):
-        self.E, self.A, self.b, self.c = (np.array(x, dtype=complex) for x in (E, A, b, c))
+    def __init__(self, E, A, c):
+        self.E, self.A, self.c = (np.array(x, dtype=complex) for x in (E, A, c))
+        k = self.c.size
+        if k < 1 or self.c.shape != (k,) or self.E.shape != (k, k) or self.A.shape != (k, k):
+            raise ValueError("E and A must be k x k and c of length k >= 1")
+        self.b = np.zeros(k, dtype=complex)
+        self.b[k - 1] = 1.0
         for arr in (self.E, self.A, self.b, self.c):
             arr.flags.writeable = False
-        k = self.b.size
-        if k < 1 or self.b.shape != (k,) or self.c.shape != (k,) \
-                or self.E.shape != (k, k) or self.A.shape != (k, k):
-            raise ValueError("E and A must be k x k and b and c of length k >= 1")
         # Row i of the transposed pencil with c appended, [(zE - A)^T | c],
         # is z Et[i] - At[i]; it is upper Hessenberg.
         Et = np.zeros((k, k + 1), dtype=complex)
@@ -293,8 +295,8 @@ class Realization:
         Et[:, :k] = self.E.T
         At[:, :k] = self.A.T
         At[:, k] = -self.c
-        if not (np.isfinite(Et).all() and np.isfinite(At).all() and np.isfinite(self.b).all()):
-            raise ValueError("E, A, b and c must be finite")
+        if not (np.isfinite(Et).all() and np.isfinite(At).all()):
+            raise ValueError("E, A and c must be finite")
         nonzero = (Et != 0) | (At != 0)
         column, row = np.arange(k + 1), np.arange(k)[:, None]
         if np.any(nonzero & (column < row - 1)):
@@ -306,23 +308,22 @@ class Realization:
 
     @property
     def order(self):
-        return self.b.size
+        return self.c.size
 
     def transfer(self, z):
         """Evaluate c^T (zE - A)^{-1} b at one or more points.
 
-        Solves (zE - A)^T y = c and returns b^T y, by Gaussian elimination
-        on the transposed pencil, which is upper Hessenberg: column j has
-        one entry below the diagonal, in row j + 1. Each point pivots
-        between the row carried from column j - 1 and row j + 1, on the
-        larger modulus in column j, and carries the other row minus a
+        Solves (zE - A)^T y = c and returns b^T y = y_{k-1}, by Gaussian
+        elimination on the transposed pencil, which is upper Hessenberg:
+        column j has one entry below the diagonal, in row j + 1. Each point
+        pivots between the row carried from column j - 1 and row j + 1, on
+        the larger modulus in column j, and carries the other row minus a
         multiple of the pivot row on to column j + 1. That is O(k^2) work
         per point (a pencil row's entries before its first nonzero past
         the subdiagonal are skipped), vectorized over blocks of about
-        k x points <= _TRANSFER_BLOCK_ENTRIES. Pivot rows are kept for back
-        substitution from the first nonzero of b on; for b = e_{k-1}, as
-        `realize` builds it, none is kept and b^T y is the last right-hand
-        side over the last pivot.
+        k x points <= _TRANSFER_BLOCK_ENTRIES. Since b = e_{k-1}, no pivot
+        row is kept and there is no back substitution: the result is the
+        last right-hand side over the last pivot.
 
         Raises PoleAtPointError, naming the point, where a pivot is exactly
         zero, that is where the pencil is singular. For a realized model
@@ -331,14 +332,12 @@ class Realization:
         """
         zv = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
         k = self.order
-        first = int(np.flatnonzero(self.b)[0]) if np.any(self.b) else k - 1
         Et, At, starts = self._Et, self._At, self._starts
         out = np.empty(zv.size, dtype=complex)
-        rows = max(1, _TRANSFER_BLOCK_ENTRIES // (k * (k - first)))
+        rows = max(1, _TRANSFER_BLOCK_ENTRIES // k)
         for lo in range(0, zv.size, rows):
             zb = zv[lo:lo + rows]
             carried = zb * Et[0, :, None] - At[0, :, None]  # columns j..k
-            kept = []  # pivot rows of columns first..k-2
             for j in range(k - 1):
                 i, s = j + 1, starts[j + 1]
                 new = zb * Et[i, j] - At[i, j]
@@ -348,23 +347,13 @@ class Realization:
                     _raise_singular(zb, pivot)
                 minus_mult = -np.where(swap, carried[0], new) / pivot
                 tail = zb * Et[i, s:, None] - At[i, s:, None]
-                if j >= first:
-                    row = np.zeros_like(carried)
-                    row[0] = new
-                    row[s - j:] = tail
-                    kept.append(np.where(swap, row, carried))
                 # the row that was not the pivot, minus mult times the pivot
                 carried = carried[1:] * np.where(swap, 1, minus_mult)
                 carried[s - i:] += np.where(swap, minus_mult, 1) * tail
             if not carried[0].all():
                 _raise_singular(zb, carried[0])
-            y = np.empty((k - first, zb.size), dtype=complex)  # y_first..y_{k-1}
-            y[-1] = carried[1] / carried[0]
-            for j in range(k - 2, first - 1, -1):
-                row = kept[j - first]
-                dot = np.einsum("mp,mp->p", row[1:-1], y[j - first + 1:])
-                y[j - first] = (row[-1] - dot) / row[0]
-            out[lo:lo + rows] = self.b[first:] @ y
+            # + 0 turns a -0 part into +0, as the sum b^T y = 0 + y_{k-1} does
+            out[lo:lo + rows] = carried[1] / carried[0] + 0
         if np.isscalar(z) or np.shape(z) == ():
             return complex(out[0])
         return out.reshape(np.shape(z))
@@ -380,12 +369,12 @@ def realize(model):
 
     Row i < k-1 of E carries +1 in column 0 and -1 in column i+1; the same
     rows of A carry lambda_0 and -lambda_{i+1}. The last row of A holds the
-    negated weights, b = e_{k-1} and c holds h_j*w_j, which makes the
-    transfer function equal the rational itself (the variant with the roles
-    of those two vectors swapped produces 1/r instead). Every nonzero sits
-    in column 0, on the superdiagonal or in the last row, so the pencil is
-    lower Hessenberg, as `Realization` requires, and `Realization.transfer`
-    costs O(k^2) per point. The pencil is singular exactly where the model
+    negated weights and c holds h_j*w_j; with the b = e_{k-1} that
+    `Realization` sets, the transfer function equals the rational itself
+    (the variant with the roles of b and c swapped produces 1/r instead).
+    Every nonzero sits in column 0, on the superdiagonal or in the last
+    row, so the pencil is lower Hessenberg, as `Realization` requires, and
+    `Realization.transfer` costs O(k^2) per point. The pencil is singular exactly where the model
     has a pole and at the support points of zero weight, where the model
     itself is finite.
     """
@@ -401,7 +390,4 @@ def realize(model):
     A[i, 0] = lam[0]
     A[i, i + 1] = -lam[1:]
     A[k - 1] = -model.weights
-    b = np.zeros(k, dtype=complex)
-    b[k - 1] = 1.0
-    c = model.values * model.weights
-    return Realization(E, A, b, c)
+    return Realization(E, A, model.values * model.weights)

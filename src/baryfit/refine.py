@@ -131,8 +131,7 @@ def _linearized_step(system, n_prev, d_prev, pivot):
 
 
 def _pivot_normalized_diff(w, w_prev, pivot):
-    if w[pivot] == 0 or w_prev[pivot] == 0:
-        return np.inf
+    # w[pivot] != 0: _choose_pivot picks a nonzero entry, WF steps pin it to 1
     return float(np.linalg.norm(w / w[pivot] - w_prev / w_prev[pivot]))
 
 

@@ -245,6 +245,10 @@ def test_sample_set_rejects_bad_input():
         SampleSet([0.0, np.nan], [1.0, 2.0])  # non-finite
     with pytest.raises(ValueError):
         SampleSet([], [])  # empty
+    with pytest.raises(ValueError, match="one-dimensional"):
+        SampleSet([[0.0, 1.0]], [1.0, 2.0])
+    with pytest.raises(ValueError, match="active_mask"):
+        SampleSet([0.0, 1.0], [1.0, 2.0], [True])
 
 
 def test_model_rejects_bad_input():
@@ -258,6 +262,10 @@ def test_model_rejects_bad_input():
         RationalModel.constant(np.nan)
     with pytest.raises(ValueError):
         RationalModel(supports=[1.0], values=[1.0], weights=[1.0], constant=2.0)
+    with pytest.raises(ValueError, match="equal length"):
+        RationalModel.barycentric([1.0, 2.0], [1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="at least one support"):
+        RationalModel.barycentric([], [], [])
 
 
 def test_degree_bookkeeping():
@@ -337,14 +345,14 @@ def test_realization_rejects_a_pencil_that_is_not_lower_hessenberg():
         pencil = {"E": rom.E.copy(), "A": rom.A.copy()}
         pencil[name][0, 2] = 1e-300
         with pytest.raises(ValueError, match="superdiagonal"):
-            Realization(pencil["E"], pencil["A"], rom.b, rom.c)
+            Realization(pencil["E"], pencil["A"], rom.c)
     with pytest.raises(ValueError, match="k x k"):
-        Realization(rom.E[:2], rom.A, rom.b, rom.c)
+        Realization(rom.E[:2], rom.A, rom.c)
     with pytest.raises(ValueError, match="finite"):
-        Realization(rom.E, rom.A, rom.b, np.array([1.0, np.nan, 0.0]))
+        Realization(rom.E, rom.A, np.array([1.0, np.nan, 0.0]))
     # the checked layout cannot change afterwards
     E = rom.E.copy()
-    kept = Realization(E, rom.A, rom.b, rom.c)
+    kept = Realization(E, rom.A, rom.c)
     E[0, 2] = 1.0
     assert kept.E[0, 2] == 0 and not kept.E.flags.writeable
 
@@ -363,6 +371,11 @@ def test_transfer_raises_where_the_pencil_is_singular():
     assert model(1.0) == 3.0
     with pytest.raises(PoleAtPointError, match=r"z = \(1\+0j\)"):
         realize(model).transfer([0.5, 1.0])
+    # a zero pivot in the first column of three, not at the last pivot
+    E = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    A = [[2, 2, 0], [0, 3, 1], [1, 0, 5]]
+    with pytest.raises(PoleAtPointError, match=r"z = \(2\+0j\)"):
+        Realization(E, A, [1.0, 1.0, 1.0]).transfer([1.0, 2.0])
 
 
 def _dense_transfer(rom, z):
@@ -426,21 +439,21 @@ def test_transfer_across_block_boundaries(k):
 
 
 def test_transfer_of_general_lower_hessenberg_pencils():
-    """Any b: the pivot rows from b's first nonzero on are back-substituted."""
+    """Random lower Hessenberg E and A, not only realize's layout."""
     rng = np.random.default_rng(73)
-    for k, first in ((1, 0), (2, 0), (6, 0), (6, 3), (8, 2), (9, 8)):
+    for k in (1, 2, 6, 8, 9):
         E, A = (np.tril(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)), 1)
                 for _ in range(2))
-        b = np.zeros(k, dtype=complex)
-        b[first:] = nonzero_complex(rng, k - first)
         c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        rom = Realization(E, A, b, c)
-        count = core._TRANSFER_BLOCK_ENTRIES // (k * (k - first)) + 1 if k == 8 else 60
+        rom = Realization(E, A, c)
+        assert_array_equal(rom.b, np.eye(k)[k - 1])
+        assert not rom.b.flags.writeable
+        count = core._TRANSFER_BLOCK_ENTRIES // k + 1 if k == 8 else 60
         z = distinct_complex(rng, count, scale=2.0)
         got = rom.transfer(z)
         for p, value in zip(z, got):
             pencil = p * E - A
-            x = np.linalg.solve(pencil, b)
+            x = np.linalg.solve(pencil, rom.b)
             # forward error of a backward stable solve, and of the product
             tol = 100 * k * EPS * np.linalg.cond(pencil) * np.linalg.norm(c) * np.linalg.norm(x)
             assert abs(value - c @ x) <= tol

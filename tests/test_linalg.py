@@ -26,6 +26,12 @@ def test_build_cauchy_rejects_coincident_point():
         build_cauchy([1.0, 2.0], [2.0])
 
 
+def test_assemble_levy_system_rejects_unpaired_lengths():
+    for args in (([1.0, 2.0], [2.0], [0.0], [1.0]), ([1.0, 2.0], [2.0, 3.0], [0.0], [1.0, 2.0])):
+        with pytest.raises(ValueError, match="pair up"):
+            assemble_levy_system(*args)
+
+
 def test_levy_matrix_single_support_hand_column():
     system = assemble_levy_system([1.0, 2.0], [2.0, 3.0], [0.0], [1.0])
     assert_allclose(levy_matrix(system), [[1.0], [1.0]], rtol=1e-15)
@@ -156,6 +162,8 @@ def test_levy_system_numerators_match_the_numerator_matrix():
 def test_min_unit_norm_empty_rows_returns_unit_vector():
     v = min_unit_norm_solution(np.zeros((0, 3)))
     assert abs(np.linalg.norm(v) - 1.0) < 1e-15
+    with pytest.raises(ValueError, match="at least one column"):
+        min_unit_norm_solution(np.zeros((3, 0)))
 
 
 def test_denominator_weighting_inverts_magnitudes():

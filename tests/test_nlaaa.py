@@ -211,6 +211,8 @@ def test_fallback_greedy_single_active_sample():
     res = np.array([2.0])  # the constant 0 model at the one active sample
     assert fallback_greedy(res, data, "probabilistic", rng) == 1
     assert fallback_greedy(res, data, "relative", rng) == 1
+    with pytest.raises(ValueError, match="unknown fallback mode"):
+        fallback_greedy(res, data, "uniform", rng)
 
 
 def test_fallback_greedy_needs_active_samples():

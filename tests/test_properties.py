@@ -8,11 +8,13 @@ reproducible and no example database is written.
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from baryfit import FitConfig, NlaaaConfig, SampleSet, aaa_fit, nlaaa_fit, sample_builtin
+from baryfit.core import NumericalError
 from baryfit.data import BUILTIN_FUNCTIONS
 
 FITS = ((aaa_fit, FitConfig), (nlaaa_fit, NlaaaConfig))
@@ -70,6 +72,50 @@ def test_fits_are_equivariant_under_any_power_of_two_scale(j):
         assert [(r.branch, r.l2_norm, r.linf_norm) for r in got_trace.records] == [
             (r.branch, r.l2_norm, r.linf_norm) for r in trace.records
         ]
+
+
+@_settings(8)
+@given(case=st.sampled_from([("relu", 201), ("abs_sin3pi", 201), ("triwave", 101), ("abs", 501)]),
+       j=st.integers(-60, 60))
+def test_fits_are_equivariant_under_a_power_of_two_scale_of_the_points(case, j):
+    # 2^j (z - lambda) scales every Cauchy entry by 2^-j exactly, and the
+    # weights are scale-free. The WF iterates that overflow on abs_sin3pi and
+    # triwave warn, at places that move with the scale; the warnings are not
+    # compared.
+    data = sample_builtin(*case)
+    scaled = SampleSet(data.points * 2.0**j, data.values)
+    for fit, config in FITS:
+        cfg = config(max_degree=10, tol=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            model, trace = fit(data, cfg)
+            got, got_trace = fit(scaled, cfg)
+        assert_array_equal(got.weights, model.weights)
+        assert_array_equal(got.supports, model.supports * 2.0**j)
+        assert [(r.branch, r.l2_norm, r.linf_norm) for r in got_trace.records] == [
+            (r.branch, r.l2_norm, r.linf_norm) for r in trace.records
+        ]
+
+
+@_settings(6)
+@given(value=st.sampled_from([2.5, 1 + 2j]), count=st.integers(2, 80))
+def test_fits_of_constant_data_finish_at_rounding_level(value, count):
+    data = SampleSet(sample_builtin("abs", count).points, np.full(count, value))
+    for fit, config in FITS:
+        _, trace = _fit_without_runtime_warnings(fit, data, config(max_degree=10, tol=0.0))
+        l2 = [r.l2_norm for r in trace.records]
+        assert max(l2) <= 1e-15
+        if fit is nlaaa_fit:
+            assert all(b <= a for a, b in zip(l2, l2[1:]))
+
+
+@_settings(4)
+@given(count=st.integers(2, 80))
+def test_fits_of_all_zero_data_raise(count):
+    data = SampleSet(sample_builtin("abs", count).points, np.zeros(count))
+    for fit, config in FITS:
+        with pytest.raises(NumericalError, match="all sample values are zero"):
+            fit(data, config(max_degree=10, tol=0.0))
 
 
 @_settings(10)
