@@ -144,11 +144,12 @@ class SampleSet:
         return smaller
 
 
-# Cauchy entries per row block of model evaluation (16 bytes each: 64 KB).
-_EVAL_BLOCK_ENTRIES = 4096
-# Pencil entries per block of Realization.transfer (0.5 MB): k per point,
-# the row its elimination carries.
-_TRANSFER_BLOCK_ENTRIES = 32768
+# Cauchy entries per row block of model evaluation, and points per block of
+# Realization.transfer: 16 bytes each, 64 KB per array. Both stay below numpy's
+# 256 KB threshold for reusing a temporary operand in place, which computes
+# `x * (y - s)` as `(y - s) * x`; the AVX-512 complex product, one fused
+# multiply-add per part, rounds the imaginary part of the two orders apart.
+_BLOCK = 4096
 
 
 class RationalModel:
@@ -233,7 +234,7 @@ class RationalModel:
         # Results equal those of one whole-array product bit for bit, except
         # that numpy computes a one-row product as a dot, which sums in
         # another order: so no block has one row unless the input does.
-        rows = max(2, _EVAL_BLOCK_ENTRIES // self.k)
+        rows = max(2, _BLOCK // self.k)
         last = zv.size - 1
         for start in range(0, max(last, 1), rows):
             stop = start + rows if start + rows < last else zv.size
@@ -269,42 +270,39 @@ class RationalModel:
 
 
 class Realization:
-    """Descriptor state-space realization (E, A, b, c) of a rational model.
+    """Descriptor state-space realization (E, A, b, c) of a barycentric model.
 
-    The transfer function c^T (zE - A)^{-1} b, with b = e_{k-1}, reproduces
-    the model at every point away from the support set. The pencil must be
-    lower Hessenberg: E and A are zero above their superdiagonal, as
-    `realize` builds them. The constructor checks that layout once and
-    keeps the four arrays read-only (E, A and c as copies), so it cannot
-    change afterwards.
+    This is the arrowhead pencil of Nakatsukasa, Sete & Trefethen (SISC
+    2018). Row i < k-1 of E carries +1 in column 0 and -1 in column i+1; the
+    same rows of A carry lambda_0 and -lambda_{i+1}. The last row of A holds
+    the negated weights, b = e_{k-1} and c = h*w, so the transfer function
+    c^T (zE - A)^{-1} b equals the rational itself (the variant with the
+    roles of b and c swapped produces 1/r instead). The pencil is singular
+    exactly where the model has a pole and at the support points of zero
+    weight, where the model itself is finite. The four arrays are read-only.
+    A constant model, or one where h*w overflows, raises ValueError.
     """
 
-    def __init__(self, E, A, c):
-        self.E, self.A, self.c = (np.array(x, dtype=complex) for x in (E, A, c))
-        k = self.c.size
-        if k < 1 or self.c.shape != (k,) or self.E.shape != (k, k) or self.A.shape != (k, k):
-            raise ValueError("E and A must be k x k and c of length k >= 1")
+    def __init__(self, model):
+        if model.is_constant:
+            raise ValueError("realization needs a barycentric model with k >= 1")
+        lam, k = model.supports, model.k
+        i = np.arange(k - 1)
+        self.E = np.zeros((k, k), dtype=complex)
+        self.A = np.zeros((k, k), dtype=complex)
+        self.E[i, 0] = 1.0
+        self.E[i, i + 1] = -1.0
+        self.A[i, 0] = lam[0]
+        self.A[i, i + 1] = -lam[1:]
+        self.A[k - 1] = -model.weights
         self.b = np.zeros(k, dtype=complex)
         self.b[k - 1] = 1.0
+        with np.errstate(over="ignore"):  # reported below
+            self.c = model.values * model.weights
+        if not np.isfinite(self.c).all():
+            raise ValueError("c = h*w overflows: the realization is not finite")
         for arr in (self.E, self.A, self.b, self.c):
             arr.flags.writeable = False
-        # Row i of the transposed pencil with c appended, [(zE - A)^T | c],
-        # is z Et[i] - At[i]; it is upper Hessenberg.
-        Et = np.zeros((k, k + 1), dtype=complex)
-        At = np.zeros((k, k + 1), dtype=complex)
-        Et[:, :k] = self.E.T
-        At[:, :k] = self.A.T
-        At[:, k] = -self.c
-        if not (np.isfinite(Et).all() and np.isfinite(At).all()):
-            raise ValueError("E, A and c must be finite")
-        nonzero = (Et != 0) | (At != 0)
-        column, row = np.arange(k + 1), np.arange(k)[:, None]
-        if np.any(nonzero & (column < row - 1)):
-            raise ValueError("the pencil zE - A must be zero above its superdiagonal")
-        nonzero &= column >= row
-        self._Et, self._At = Et, At
-        # row i > 0: its subdiagonal entry, then nonzeros from _starts[i] on
-        self._starts = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), k + 1)
 
     @property
     def order(self):
@@ -314,46 +312,47 @@ class Realization:
         """Evaluate c^T (zE - A)^{-1} b at one or more points.
 
         Solves (zE - A)^T y = c and returns b^T y = y_{k-1}, by Gaussian
-        elimination on the transposed pencil, which is upper Hessenberg:
-        column j has one entry below the diagonal, in row j + 1. Each point
-        pivots between the row carried from column j - 1 and row j + 1, on
-        the larger modulus in column j, and carries the other row minus a
-        multiple of the pivot row on to column j + 1. That is O(k^2) work
-        per point (a pencil row's entries before its first nonzero past
-        the subdiagonal are skipped), vectorized over blocks of about
-        k x points <= _TRANSFER_BLOCK_ENTRIES. Since b = e_{k-1}, no pivot
-        row is kept and there is no back substitution: the result is the
-        last right-hand side over the last pivot.
+        elimination on [(zE - A)^T | c]. Its row 0 holds z - lambda_0 in
+        columns 0..k-2; row j+1 holds lambda_{j+1} - z in column j and, unless
+        w_{j+1} = 0, entries in the last two columns. At column j each point
+        pivots between the carried row and row j+1 on the larger modulus and
+        carries the other row minus a multiple of the pivot row, which is
+        again one value `a` over the columns before the last, then `last`
+        and `rhs`: O(k) work per point, vectorized over blocks of _BLOCK
+        points. The result is the last right-hand side over the last pivot.
 
         Raises PoleAtPointError, naming the point, where a pivot is exactly
-        zero, that is where the pencil is singular. For a realized model
-        that is a pole, or a support point of zero weight (where the model
-        itself is finite).
+        zero: at a pole, or at a support point of zero weight (where the
+        model itself is finite).
         """
         zv = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
         k = self.order
-        Et, At, starts = self._Et, self._At, self._starts
+        E, A, c = self.E, self.A, self.c
         out = np.empty(zv.size, dtype=complex)
-        rows = max(1, _TRANSFER_BLOCK_ENTRIES // k)
-        for lo in range(0, zv.size, rows):
-            zb = zv[lo:lo + rows]
-            carried = zb * Et[0, :, None] - At[0, :, None]  # columns j..k
+        for lo in range(0, zv.size, _BLOCK):
+            zb = zv[lo:lo + _BLOCK]
+            zero = zb * 0  # z times E's zeros in the last two columns: signed zeros
+            a = zb * E[0, 0] - A[0, 0]  # row 0, columns 0..k-2
+            last = zero - A[k - 1, 0]
+            rhs = zero + c[0]
             for j in range(k - 1):
-                i, s = j + 1, starts[j + 1]
-                new = zb * Et[i, j] - At[i, j]
-                swap = np.abs(new) > np.abs(carried[0])
-                pivot = np.where(swap, new, carried[0])
+                new = zb * E[j, j + 1] - A[j, j + 1]
+                swap = np.abs(new) > np.abs(a)
+                pivot = np.where(swap, new, a)
                 if not pivot.all():
                     _raise_singular(zb, pivot)
-                minus_mult = -np.where(swap, carried[0], new) / pivot
-                tail = zb * Et[i, s:, None] - At[i, s:, None]
+                minus_mult = -np.where(swap, a, new) / pivot
                 # the row that was not the pivot, minus mult times the pivot
-                carried = carried[1:] * np.where(swap, 1, minus_mult)
-                carried[s - i:] += np.where(swap, minus_mult, 1) * tail
-            if not carried[0].all():
-                _raise_singular(zb, carried[0])
+                keep = np.where(swap, 1, minus_mult)
+                a, last, rhs = a * keep, last * keep, rhs * keep
+                if A[k - 1, j + 1] != 0:
+                    add = np.where(swap, minus_mult, 1)
+                    last += add * (zero - A[k - 1, j + 1])
+                    rhs += add * (zero + c[j + 1])
+            if not last.all():
+                _raise_singular(zb, last)
             # + 0 turns a -0 part into +0, as the sum b^T y = 0 + y_{k-1} does
-            out[lo:lo + rows] = carried[1] / carried[0] + 0
+            out[lo:lo + _BLOCK] = rhs / last + 0
         if np.isscalar(z) or np.shape(z) == ():
             return complex(out[0])
         return out.reshape(np.shape(z))
@@ -365,29 +364,5 @@ def _raise_singular(z, pivots):
 
 
 def realize(model):
-    """Build the state-space realization of a barycentric model.
-
-    Row i < k-1 of E carries +1 in column 0 and -1 in column i+1; the same
-    rows of A carry lambda_0 and -lambda_{i+1}. The last row of A holds the
-    negated weights and c holds h_j*w_j; with the b = e_{k-1} that
-    `Realization` sets, the transfer function equals the rational itself
-    (the variant with the roles of b and c swapped produces 1/r instead).
-    Every nonzero sits in column 0, on the superdiagonal or in the last
-    row, so the pencil is lower Hessenberg, as `Realization` requires, and
-    `Realization.transfer` costs O(k^2) per point. The pencil is singular exactly where the model
-    has a pole and at the support points of zero weight, where the model
-    itself is finite.
-    """
-    if model.is_constant or model.k < 1:
-        raise ValueError("realization needs a barycentric model with k >= 1")
-    lam = model.supports
-    k = model.k
-    i = np.arange(k - 1)
-    E = np.zeros((k, k), dtype=complex)
-    A = np.zeros((k, k), dtype=complex)
-    E[i, 0] = 1.0
-    E[i, i + 1] = -1.0
-    A[i, 0] = lam[0]
-    A[i, i + 1] = -lam[1:]
-    A[k - 1] = -model.weights
-    return Realization(E, A, model.values * model.weights)
+    """The state-space realization of a barycentric model; see Realization."""
+    return Realization(model)

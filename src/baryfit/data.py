@@ -209,7 +209,10 @@ def save_model(path, model):
 def _parse_complex(obj, where):
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
         raise ValueError("%s: expected an object with re/im fields" % where)
-    return complex(float(obj["re"]), float(obj["im"]))
+    try:
+        return complex(float(obj["re"]), float(obj["im"]))
+    except (TypeError, ValueError):
+        raise ValueError("%s: re and im must be numbers, got %r" % (where, obj)) from None
 
 
 def load_model(path):
@@ -217,6 +220,8 @@ def load_model(path):
         # ints go through float(): the emitter writes -0.0 as "-0", which
         # would otherwise decode as int 0 and lose the sign
         doc = json.load(f, parse_int=float)
+    if not isinstance(doc, dict):
+        raise ValueError("%s: expected a JSON object, got %s" % (path, type(doc).__name__))
     kind = doc.get("kind")
     if kind == "constant":
         return RationalModel.constant(_parse_complex(doc.get("constant"), "constant"))

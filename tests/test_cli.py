@@ -175,6 +175,14 @@ def test_eval_at_a_pole_is_a_numerical_failure(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_rejects_a_malformed_model_file(tmp_path, caplog):
+    model_path = tmp_path / "model.json"
+    model_path.write_text('{"kind": "constant", "constant": {"re": null, "im": 0}}\n')
+    points = _points_file(tmp_path, [0.0])
+    assert cli.main(["eval", "--model", str(model_path), "--points", str(points)]) == 2
+    assert "constant: re and im must be numbers" in caplog.text
+
+
 def test_eval_rejects_foreign_point_headers(tmp_path):
     model_path = tmp_path / "model.json"
     save_model(model_path, RationalModel.constant(1.0))
@@ -219,6 +227,15 @@ def test_realize_rejects_constant_models(tmp_path):
     save_model(model_path, RationalModel.constant(2.0))
     outdir = tmp_path / "rom"
     assert cli.main(["realize", "--model", str(model_path), "--out", str(outdir)]) == 2
+
+
+def test_realize_rejects_a_model_whose_c_overflows(tmp_path, caplog):
+    model_path = tmp_path / "model.json"
+    save_model(model_path, RationalModel.barycentric([0.0, 1.0], [1e200, 1.0], [1e200, 1.0]))
+    outdir = tmp_path / "rom"
+    assert cli.main(["realize", "--model", str(model_path), "--out", str(outdir)]) == 2
+    assert "overflows" in caplog.text
+    assert not outdir.exists()
 
 
 # --------------------------------------------------------------- gradcheck

@@ -241,6 +241,17 @@ def test_model_file_validation(tmp_path):
     not_json.write_text('{"kind": ')
     with pytest.raises(ValueError):  # json decode errors are ValueError
         load_model(not_json)
+    top_level = tmp_path / "list.json"
+    top_level.write_text("[1, 2]\n")
+    with pytest.raises(ValueError, match="expected a JSON object, got list"):
+        load_model(top_level)
+    for part in ("null", "[1]", '"one"'):
+        bad_part = tmp_path / "part.json"
+        bad_part.write_text('{"kind": "barycentric", "supports": [{"re": 0, "im": 0}], '
+                            '"values": [{"re": %s, "im": 0}], '
+                            '"weights": [{"re": 1, "im": 0}]}\n' % part)
+        with pytest.raises(ValueError, match=r"values\[0\]: re and im must be numbers"):
+            load_model(bad_part)
 
 
 # -------------------------------------------------------------- trace files
