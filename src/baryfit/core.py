@@ -156,9 +156,10 @@ class RationalModel:
     """A barycentric rational function, or a degree-0 constant.
 
     Use :meth:`constant` or :meth:`barycentric` to construct. Calling the
-    model evaluates it; at a support point with nonzero weight the stored
-    value is returned exactly (removable singularity), and a support point
-    whose weight is zero simply drops out of both sums.
+    model evaluates it over its supports of nonzero weight only, bit for bit
+    as its copy without the others, which add nothing to either sum; at a
+    support of nonzero weight the stored value is returned exactly
+    (removable singularity). A model whose w*h overflows raises ValueError.
     """
 
     def __init__(self, supports=None, values=None, weights=None, constant=None):
@@ -182,11 +183,18 @@ class RationalModel:
         if self.supports.size < 1:
             raise ValueError("a barycentric model needs at least one support point")
         _check_distinct(self.supports, "support points")
-        if not np.any(self.weights != 0):
+        live = self.weights != 0
+        if not live.any():
             raise ValueError("at least one weight must be nonzero")
-        # supports in numpy's complex order, to find points that hit one
-        self._support_order = np.argsort(self.supports)
-        self._sorted_supports = self.supports[self._support_order]
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            wh = self.weights * self.values
+        if not np.isfinite(wh).all():
+            raise ValueError("w*h overflows: the model is not finite")
+        # what __call__ evaluates: the supports of nonzero weight, in order
+        self._live = tuple(a[live] for a in (self.supports, self.values, self.weights, wh))
+        # live supports in numpy's complex order, to find points that hit one
+        self._support_order = np.argsort(self._live[0])
+        self._sorted_supports = self._live[0][self._support_order]
 
     @classmethod
     def constant(cls, value):
@@ -227,34 +235,31 @@ class RationalModel:
                 return self.constant_value
             return np.full(np.shape(z), self.constant_value, dtype=complex)
         zv = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+        lam, h, w, wh = self._live
         hit_row, hit_col = self._support_hits(zv)
-        wh = self.weights * self.values
         num = np.empty(zv.size, dtype=complex)
         den = np.empty(zv.size, dtype=complex)
         # Results equal those of one whole-array product bit for bit, except
         # that numpy computes a one-row product as a dot, which sums in
         # another order: so no block has one row unless the input does.
-        rows = max(2, _BLOCK // self.k)
+        rows = max(2, _BLOCK // lam.size)
         last = zv.size - 1
         for start in range(0, max(last, 1), rows):
             stop = start + rows if start + rows < last else zv.size
-            cauchy = zv[start:stop, None] - self.supports[None, :]
+            cauchy = zv[start:stop, None] - lam[None, :]
             if hit_row.size:
                 in_block = slice(*np.searchsorted(hit_row, (start, stop)))
-                # w_j = 0 terms then contribute nothing
                 cauchy[hit_row[in_block] - start, hit_col[in_block]] = 1.0
             np.divide(1.0, cauchy, out=cauchy)  # in place; rounds like 1.0 / cauchy
             # two matrix-vector products, not one product with a two-column
             # matrix: the latter sums in another order and moves the last bits
             np.matmul(cauchy, wh, out=num[start:stop])
-            np.matmul(cauchy, self.weights, out=den[start:stop])
+            np.matmul(cauchy, w, out=den[start:stop])
         with np.errstate(divide="ignore", invalid="ignore"):
             r = num / den
         bad = den == 0
-        if hit_row.size:
-            interp = self.weights[hit_col] != 0
-            r[hit_row[interp]] = self.values[hit_col[interp]]
-            bad[hit_row[interp]] = False
+        r[hit_row] = h[hit_col]
+        bad[hit_row] = False
         if np.any(bad):
             where = zv[np.nonzero(bad)[0][0]]
             raise PoleAtPointError("denominator vanishes at z = %s" % where)
@@ -263,7 +268,8 @@ class RationalModel:
         return r.reshape(np.shape(z))
 
     def _support_hits(self, zv):
-        """(rows, columns) with zv[row] == supports[column], rows ascending."""
+        """(rows, columns) with zv[row] == the live support of that column,
+        rows ascending."""
         at = np.searchsorted(self._sorted_supports, zv)
         hit_row = np.nonzero(self._sorted_supports.take(at, mode="clip") == zv)[0]
         return hit_row, self._support_order[at[hit_row]]
@@ -280,7 +286,7 @@ class Realization:
     roles of b and c swapped produces 1/r instead). The pencil is singular
     exactly where the model has a pole and at the support points of zero
     weight, where the model itself is finite. The four arrays are read-only.
-    A constant model, or one where h*w overflows, raises ValueError.
+    A constant model raises ValueError.
     """
 
     def __init__(self, model):
@@ -297,10 +303,7 @@ class Realization:
         self.A[k - 1] = -model.weights
         self.b = np.zeros(k, dtype=complex)
         self.b[k - 1] = 1.0
-        with np.errstate(over="ignore"):  # reported below
-            self.c = model.values * model.weights
-        if not np.isfinite(self.c).all():
-            raise ValueError("c = h*w overflows: the realization is not finite")
+        self.c = model.values * model.weights
         for arr in (self.E, self.A, self.b, self.c):
             arr.flags.writeable = False
 

@@ -5,11 +5,13 @@ on the step's LevySystem it compares an SK run against a single WF step
 seeded with the previous weights (extended by a zero for the new support),
 runs the full WF iteration from the better of the two, and keeps the
 previous model (zero weight on the new support) whenever nothing beats it
-on the full data set. That last fallback makes the reported full-data
-error provably non-increasing; the step after a fallback ranks the loop's
-active residuals |r - H| with a probabilistic or relative-error variant of
-the greedy selection, so the same support choice cannot stall the
-iteration twice.
+on the full data set. A zero weight drops out of model evaluation, so the
+zero-extended previous weights evaluate bit for bit as the previous model
+and are the one reference of that test. The fallback makes the reported
+full-data error provably non-increasing; the step after a fallback ranks
+the loop's active residuals |r - H| with a probabilistic or relative-error
+variant of the greedy selection, so the same support choice cannot stall
+the iteration twice.
 """
 
 from dataclasses import dataclass, field
@@ -59,25 +61,18 @@ def full_squared_error(supports, interp_values, weights, data):
     return np.inf if np.isnan(total) else total
 
 
-def select_weights(system, data, w_prev_ext, cfg, prev_err):
-    """Pick the weight vector for one NL-AAA step.
+def select_weights(system, data, w_prev_ext, cfg):
+    """Pick the weight vector for one NL-AAA step; returns (weights, branch).
 
     Runs SK on the step's LevySystem, takes one WF step from w_prev_ext,
     compares their raw active squared errors, and runs the full WF iteration
-    from the better initializer. The winning iterate must strictly improve
-    the full-data squared error of w_prev_ext (the previous model); otherwise
-    w_prev_ext is kept and the branch tag reports the fallback. Returns
-    (weights, branch, err), where err is the full-data squared error of the
-    returned weights over all samples of `data`.
-
-    `prev_err` is the recorded full-data error of the model w_prev_ext
-    reproduces (inf when there is none). The candidate must beat both it and
-    the re-evaluation of w_prev_ext: the two differ by summation-order noise
-    (the zero extension changes the reduction tree, and near
-    cancellation-heavy points that reordering moves the error by far more
-    than an ulp), and an acceptance inside that noise window would either
-    let the recorded error creep upward or disarm the anti-stagnation
-    greedy without any real progress.
+    from the better initializer. The winning iterate must strictly lower the
+    full-data squared error of w_prev_ext over all samples of `data`;
+    otherwise w_prev_ext is kept and the branch tag reports the fallback.
+    The zero extension evaluates bit for bit as the previous model (a model
+    evaluates over its nonzero weights only), so this one comparison is
+    against the error recorded for the previous model, and accepted errors
+    strictly fall.
     """
     w_prev_ext = np.asarray(w_prev_ext, dtype=complex)
     sk = sk_iterate(system, cfg.refine)
@@ -93,11 +88,10 @@ def select_weights(system, data, w_prev_ext, cfg, prev_err):
         start, branch = w_prev_ext, "wf-from-prev"
     run = wf_iterate(system, start, cfg.refine)
     supports, interp_values = system.supports, system.interp_values
-    candidate_err = full_squared_error(supports, interp_values, run.weights, data)
-    prev_ext_err = full_squared_error(supports, interp_values, w_prev_ext, data)
-    if candidate_err < min(prev_ext_err, prev_err):
-        return run.weights, branch, candidate_err
-    return w_prev_ext, "fallback", prev_ext_err
+    if (full_squared_error(supports, interp_values, run.weights, data)
+            < full_squared_error(supports, interp_values, w_prev_ext, data)):
+        return run.weights, branch
+    return w_prev_ext, "fallback"
 
 
 def fallback_greedy(res, data, mode, rng):
@@ -136,12 +130,13 @@ def nlaaa_fit(data, cfg):
 
     The trace's branch column records which weight source won each step
     (levy for k = 1, then wf-from-sk / wf-from-prev / fallback), and its
-    full-data normalized l2 column is non-increasing.
+    full-data normalized l2 column is non-increasing. No error is carried
+    between steps: each step compares against its zero-extended previous
+    weights.
     """
     if data.size < 2:
         raise ValueError("NL-AAA needs at least two samples")
     rng = np.random.default_rng(cfg.rng_seed)
-    full_err = None  # full-data squared error of the last accepted model
 
     def choose_index(res, work, branch):
         if branch == "fallback":
@@ -149,14 +144,6 @@ def nlaaa_fit(data, cfg):
         return greedy_select(res, work)
 
     def choose_weights(model, work, system):
-        nonlocal full_err
-        if full_err is None:
-            # the first step's model, whose weight no selection chose
-            full_err = full_squared_error(model.supports, model.values, model.weights, work)
-        w_prev_ext = np.append(model.weights, 0.0)
-        weights, branch, err = select_weights(system, work, w_prev_ext, cfg, full_err)
-        if branch != "fallback":
-            full_err = err
-        return weights, branch
+        return select_weights(system, work, np.append(model.weights, 0.0), cfg)
 
     return _greedy_fit(data, cfg, choose_index, choose_weights)

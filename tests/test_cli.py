@@ -229,13 +229,32 @@ def test_realize_rejects_constant_models(tmp_path):
     assert cli.main(["realize", "--model", str(model_path), "--out", str(outdir)]) == 2
 
 
+def _overflowing_model_file(tmp_path):
+    # w*h = 1e200 * 1e200 overflows; written by hand, as no model holds it
+    path = tmp_path / "model.json"
+    path.write_text(
+        '{"kind": "barycentric", '
+        '"supports": [{"re": 0, "im": 0}, {"re": 1, "im": 0}], '
+        '"values": [{"re": 1e200, "im": 0}, {"re": 1, "im": 0}], '
+        '"weights": [{"re": 1e200, "im": 0}, {"re": 1, "im": 0}]}\n'
+    )
+    return path
+
+
 def test_realize_rejects_a_model_whose_c_overflows(tmp_path, caplog):
-    model_path = tmp_path / "model.json"
-    save_model(model_path, RationalModel.barycentric([0.0, 1.0], [1e200, 1.0], [1e200, 1.0]))
+    model_path = _overflowing_model_file(tmp_path)
     outdir = tmp_path / "rom"
     assert cli.main(["realize", "--model", str(model_path), "--out", str(outdir)]) == 2
     assert "overflows" in caplog.text
     assert not outdir.exists()
+
+
+def test_eval_rejects_a_model_whose_product_overflows(tmp_path, capsys, caplog):
+    model_path = _overflowing_model_file(tmp_path)
+    points = _points_file(tmp_path, [0.5])
+    assert cli.main(["eval", "--model", str(model_path), "--points", str(points)]) == 2
+    assert "overflows" in caplog.text
+    assert capsys.readouterr().out == ""
 
 
 # --------------------------------------------------------------- gradcheck

@@ -348,11 +348,15 @@ def test_realization_arrays_are_read_only():
 
 
 def test_realize_rejects_a_model_whose_c_overflows():
-    model = RationalModel.barycentric([0.0, 1.0], [1e200, 1.0], [1e200, 1.0])
+    # c = h*w of the realization is the model's own w*h: a model holding an
+    # overflowing product cannot be built, so neither evaluation nor realize
+    # ever sees one
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match="overflows"):
-            realize(model)
+        for values, weights in (([1e200, 1.0], [1e200, 1.0]),
+                                ([1e200 + 1e200j, 1.0], [1e200 - 1e200j, 1.0])):
+            with pytest.raises(ValueError, match="overflows"):
+                RationalModel.barycentric([0.0, 1.0], values, weights)
 
 
 def test_transfer_raises_where_the_pencil_is_singular():

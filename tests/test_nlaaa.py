@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from baryfit import (
     FitConfig,
     NlaaaConfig,
+    RationalModel,
     SampleSet,
     aaa_fit,
     nlaaa_fit,
@@ -76,34 +77,68 @@ def test_select_weights_never_worsens_an_exact_previous_model():
     assert prev_err < 1e-20
 
     system = assemble_levy_system(data.active_points(), data.active_values(), supports, interp)
-    weights, branch, _ = select_weights(system, data, w_prev_ext, NlaaaConfig(max_degree=5),
-                                        np.inf)
+    weights, branch = select_weights(system, data, w_prev_ext, NlaaaConfig(max_degree=5))
     assert branch in BRANCHES - {"levy"}
     err = full_squared_error(supports, interp, weights, data)
     assert err <= prev_err
     assert err < 1e-20
 
 
-def test_select_weights_returns_the_full_error_of_the_weights_it_returns():
-    data = sample_builtin("relu", 101)
-    hold = [0, 100, 50, 75]
-    supports, interp = data.points[hold], data.values[hold]
-    mask = np.ones(data.size, dtype=bool)
-    mask[hold[:3]] = False
-    w_prev_ext = np.append(
-        levy_weights(SampleSet(data.points, data.values, mask).levy_system(supports[:3], interp[:3])),
-        0.0,
-    )
-    mask[hold] = False
-    work = SampleSet(data.points, data.values, mask)
-    system = assemble_levy_system(work.active_points(), work.active_values(), supports, interp)
-    # a recorded error of 0 cannot be beaten, so it forces the fallback
-    for prev_err, accepted in ((np.inf, True), (0.0, False)):
-        weights, branch, err = select_weights(
-            system, work, w_prev_ext, NlaaaConfig(max_degree=5), prev_err
-        )
-        assert (branch != "fallback") == accepted
-        assert err == full_squared_error(supports, interp, weights, work)
+def test_select_weights_falls_back_when_wf_returns_its_start(monkeypatch):
+    """A step whose WF run returns its own start, w_prev_ext, ties its one
+    reference bit for bit, so it reports the fallback and keeps the bytes of
+    w_prev_ext."""
+    original_wf, original_select = nlaaa.wf_iterate, nlaaa.select_weights
+    runs, ties = [], []
+
+    def recording_wf(system, w0, cfg):
+        run = original_wf(system, w0, cfg)
+        runs.append((np.asarray(w0).tobytes(), run.weights.tobytes()))
+        return run
+
+    def checked_select(system, data, w_prev_ext, cfg):
+        runs.clear()
+        weights, branch = original_select(system, data, w_prev_ext, cfg)
+        [(start, returned)] = runs
+        if start == returned == w_prev_ext.tobytes():
+            assert branch == "fallback"
+            assert weights.tobytes() == w_prev_ext.tobytes()
+            ties.append(system.supports.size)
+        return weights, branch
+
+    monkeypatch.setattr(nlaaa, "wf_iterate", recording_wf)
+    monkeypatch.setattr(nlaaa, "select_weights", checked_select)
+    nlaaa_fit(sample_builtin("relu", 101), NlaaaConfig(max_degree=12, tol=0.0))
+    assert ties
+
+
+def test_every_nlaaa_model_evaluates_as_its_copy_without_zero_weights(monkeypatch):
+    """Each candidate and each zero-extended previous model of an NL-AAA fit
+    evaluates at the samples, and scores in full_squared_error, bit for bit
+    as the same model without its zero-weight supports."""
+    data = sample_builtin("abs", 501)
+    original_select = nlaaa.select_weights
+    zero_weights = []
+
+    def check(supports, interp, weights):
+        live = weights != 0
+        zero_weights.append(int(np.count_nonzero(~live)))
+        whole = RationalModel.barycentric(supports, interp, weights)
+        compact = RationalModel.barycentric(supports[live], interp[live], weights[live])
+        assert whole(data.points).tobytes() == compact(data.points).tobytes()
+        assert (full_squared_error(supports, interp, weights, data)
+                == full_squared_error(supports[live], interp[live], weights[live], data))
+
+    def checked_select(system, work, w_prev_ext, cfg):
+        weights, branch = original_select(system, work, w_prev_ext, cfg)
+        for w in (w_prev_ext, weights):
+            check(system.supports, system.interp_values, w)
+        return weights, branch
+
+    monkeypatch.setattr(nlaaa, "select_weights", checked_select)
+    model, _ = nlaaa_fit(data, NlaaaConfig(max_degree=30, tol=0.0))
+    check(model.supports, model.values, model.weights)
+    assert zero_weights[-1] > 0
 
 
 def test_each_fit_step_assembles_one_system(monkeypatch):
@@ -131,16 +166,16 @@ def test_wf_from_prev_continues_the_one_step_wf(monkeypatch):
         solves.append(1)
         return original_lsq(*args)
 
-    def checked_select(system, data, w_prev_ext, cfg, prev_err):
+    def checked_select(system, data, w_prev_ext, cfg):
         solves.clear()
-        weights, branch, err = original_select(system, data, w_prev_ext, cfg, prev_err)
+        weights, branch = original_select(system, data, w_prev_ext, cfg)
         if branch == "wf-from-prev":
             made = len(solves)
             want = wf_iterate(system, w_prev_ext, cfg.refine)
             assert made == len(want.errors)
             assert weights.tobytes() == want.weights.tobytes()
             from_prev.append(made)
-        return weights, branch, err
+        return weights, branch
 
     monkeypatch.setattr(refine, "pivoted_weighted_lsq", counting_lsq)
     monkeypatch.setattr(nlaaa, "select_weights", checked_select)

@@ -13,8 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from baryfit import FitConfig, NlaaaConfig, SampleSet, aaa_fit, nlaaa_fit, sample_builtin
-from baryfit.core import NumericalError
+from baryfit import (
+    FitConfig,
+    NlaaaConfig,
+    RationalModel,
+    SampleSet,
+    aaa_fit,
+    nlaaa_fit,
+    sample_builtin,
+)
+from baryfit.core import _BLOCK, NumericalError, PoleAtPointError
 from baryfit.data import BUILTIN_FUNCTIONS
 
 FITS = ((aaa_fit, FitConfig), (nlaaa_fit, NlaaaConfig))
@@ -142,3 +150,40 @@ def test_fits_finish_on_near_coincident_points(name, i):
     for fit, config in FITS:
         _, trace = fit(data, config(max_degree=10, tol=0.0))
         assert len(trace.records) == 11
+
+
+def _evaluation(model, z):
+    """The bytes of model(z), or the message of the PoleAtPointError it raises."""
+    try:
+        return model(z).tobytes()
+    except PoleAtPointError as exc:
+        return str(exc)
+
+
+@_settings(25)
+@given(seed=SEEDS, k=st.integers(1, 120), count=st.integers(1, 10_000),
+       blocks=st.integers(0, 3), shift=st.integers(-1, 1), far=st.booleans())
+def test_zero_weight_supports_drop_out_of_model_evaluation(seed, k, count, blocks, shift, far):
+    rng = np.random.default_rng(seed)
+
+    def cplx(n):
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    supports, values, weights = cplx(k), cplx(k), cplx(k)
+    weights[rng.permutation(k)[: k // 3]] = 0.0
+    live = weights != 0
+    if blocks:
+        # a count at a block boundary of the evaluation, give or take one
+        count = min(max(blocks * max(2, _BLOCK // np.count_nonzero(live)) + shift, 1), 10_000)
+    z = cplx(count)
+    # some points on supports of nonzero and of zero weight
+    on = rng.permutation(count)[: min(count, 2 * k)]
+    z[on] = supports[rng.integers(0, k, on.size)]
+    if far:
+        # scaled by an exact 2^-70, the denominator underflows to zero out
+        # there: a pole of the evaluation, named in the error message
+        weights *= 2.0 ** -70
+        z[rng.integers(0, count)] = 1e305 * np.exp(2j * np.pi * rng.uniform())
+    whole = RationalModel.barycentric(supports, values, weights)
+    compact = RationalModel.barycentric(supports[live], values[live], weights[live])
+    assert _evaluation(whole, z) == _evaluation(compact, z)
