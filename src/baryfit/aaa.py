@@ -6,7 +6,8 @@ point, then picks unit-norm weights minimizing the linearized (Levy) error
 smallest right singular vector. The loop itself, ``_greedy_fit``, is shared
 with NL-AAA, which swaps in its own index and weight choices. As in AAA
 (Nakatsukasa, Sete & Trefethen, SISC 2018), one evaluation of a step's
-weights gives its stopping error and the mismatches the next step ranks.
+weights gives its stopping error, its trace metrics and the mismatches the
+next step ranks.
 """
 
 import math
@@ -14,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RationalModel, SampleSet
-from .data import metrics
+from .core import PoleAtPointError, RationalModel, SampleSet
+from .data import residual_metrics
 from .linalg import levy_matrix, min_unit_norm_solution
 
 __all__ = [
@@ -80,6 +81,29 @@ def levy_weights(system):
     return min_unit_norm_solution(levy_matrix(system))
 
 
+def _full_residuals(work, supports, interp_values, w, res):
+    """|r - H| at every sample of `work` for the step's rational r, given
+    its residuals `res` at the active samples (inf at a pole): zero at a
+    support of nonzero weight, which r interpolates exactly.
+
+    These equal the residuals of the model's own evaluation bit for bit as
+    long as the system's products sum as the model's do. Two cases, both
+    rare, sum in another order, and there the model itself is evaluated: a
+    zero weight, which drops out of the model but not of the system, and a
+    single active sample, whose product numpy takes as a dot. A pole at a
+    sample leaves an inf residual, so the step's metrics read inf.
+    """
+    full = np.zeros(work.size)
+    full[work.active_mask] = res
+    if not np.isfinite(res).all() or (work.active_count > 1 and w.all()):
+        return full
+    try:
+        r = RationalModel.barycentric(supports, interp_values, w)(work.points)
+    except PoleAtPointError:  # at a support of zero weight
+        return np.full(work.size, np.inf)
+    return np.abs(work.values - r)
+
+
 def _greedy_fit(data, cfg, choose_index, choose_weights):
     """The greedy loop of AAA and NL-AAA; returns (model, trace).
 
@@ -88,23 +112,30 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
     constant mean of the values starts it. Each step promotes
     `choose_index(res, work, branch)` to a support (`branch` is that of the
     step that made r, None at the start), builds the step's LevySystem, and
-    takes `(weights, branch) = choose_weights(model, work, system)`; the
-    first step's weight is 1. One `system.residual_sq_sum` of the new
-    weights gives both the stopping error and the next `res`. A "fallback"
-    step keeps the model's function, so its metrics carry over.
+    takes `(weights, branch, full) = choose_weights(w_prev, work, system)`
+    for the previous weights w_prev; the first step's weight is 1. One
+    `system.residual_sq_sum` of the new weights gives both the stopping
+    error and the next `res`. The trace metrics come from one evaluation
+    too: from `full`, the residuals at every sample that the weight choice
+    already formed, or, when it is None, from `res` (see _full_residuals).
+    Either equals `metrics(model, work)` of the step's model bit for bit,
+    and apart from the rare steps _full_residuals names, the loop builds
+    and evaluates no model. A "fallback" step keeps the model's function,
+    so its metrics carry over.
 
     The loop fits H / 2^e, with e chosen so that max|H| / 2^e lies in
     [1, 2). A power-of-two scale is exact and every kernel is homogeneous
     in H, so this is the fit of H itself, but no squared sum overflows or
     underflows whatever the scale of H. The stopping error is reported and
     tested in data units (inf where it exceeds the double range), and the
-    returned model takes its support values from `data`.
+    returned model, built once at the end, takes its support values from
+    `data`.
     """
     e = math.frexp(np.abs(data.values).max())[1] - 1
     # ldexp on the (re, im) float pairs that make up each complex value
     work = SampleSet(data.points, np.ldexp(data.values.view(float), -e).view(complex))
     res = np.abs(np.mean(work.values) - work.values)
-    model = None
+    w = None
     picked = []
     branch = None
     trace = FitTrace()
@@ -119,10 +150,9 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
         work = work.deactivate(idx)
         system = work.levy_system(supports, interp_values)
         if k == 1:
-            w, branch = np.ones(1, dtype=complex), "levy"
+            w, branch, full = np.ones(1, dtype=complex), "levy", None
         else:
-            w, branch = choose_weights(model, work, system)
-        model = RationalModel.barycentric(supports, interp_values, w)
+            w, branch, full = choose_weights(w, work, system)
         res = np.empty(work.active_count)
         try:
             raw = math.ldexp(system.residual_sq_sum(w, out=res), 2 * e)
@@ -130,7 +160,9 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
             raw = math.inf
         res[np.isnan(res)] = np.inf
         if branch != "fallback":
-            m = metrics(model, work)
+            if full is None:
+                full = _full_residuals(work, supports, interp_values, w, res)
+            m = residual_metrics(full, work.values)
         trace.records.append(
             TraceRecord(k, k - 1, complex(supports[-1]), raw, m.l2, m.linf, branch)
         )
@@ -138,7 +170,7 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
             reached_tol = True
             break
     trace.budget_exhausted = not reached_tol
-    return RationalModel.barycentric(model.supports, data.values[picked], model.weights), trace
+    return RationalModel.barycentric(data.points[picked], data.values[picked], w), trace
 
 
 def aaa_fit(data, cfg):
@@ -155,5 +187,5 @@ def aaa_fit(data, cfg):
         data,
         cfg,
         lambda res, work, branch: greedy_select(res, work),
-        lambda model, work, system: (levy_weights(system), "levy"),
+        lambda w_prev, work, system: (levy_weights(system), "levy", None),
     )

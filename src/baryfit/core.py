@@ -159,7 +159,12 @@ class RationalModel:
     model evaluates it over its supports of nonzero weight only, bit for bit
     as its copy without the others, which add nothing to either sum; at a
     support of nonzero weight the stored value is returned exactly
-    (removable singularity). A model whose w*h overflows raises ValueError.
+    (removable singularity). The numerator's coefficients are formed as
+    ``values * weights``, h_j w_j, the order ``LevySystem.numerators`` and
+    ``Realization.c`` use: numpy's AVX-512 complex product rounds the
+    imaginary parts of h*w and w*h apart, so in this order the model
+    evaluates at a fit's active samples bit for bit as its LevySystem. A
+    model whose h*w overflows raises ValueError.
     """
 
     def __init__(self, supports=None, values=None, weights=None, constant=None):
@@ -187,11 +192,11 @@ class RationalModel:
         if not live.any():
             raise ValueError("at least one weight must be nonzero")
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            wh = self.weights * self.values
-        if not np.isfinite(wh).all():
-            raise ValueError("w*h overflows: the model is not finite")
+            hw = self.values * self.weights
+        if not np.isfinite(hw).all():
+            raise ValueError("h*w overflows: the model is not finite")
         # what __call__ evaluates: the supports of nonzero weight, in order
-        self._live = tuple(a[live] for a in (self.supports, self.values, self.weights, wh))
+        self._live = tuple(a[live] for a in (self.supports, self.values, self.weights, hw))
         # live supports in numpy's complex order, to find points that hit one
         self._support_order = np.argsort(self._live[0])
         self._sorted_supports = self._live[0][self._support_order]
@@ -235,7 +240,7 @@ class RationalModel:
                 return self.constant_value
             return np.full(np.shape(z), self.constant_value, dtype=complex)
         zv = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
-        lam, h, w, wh = self._live
+        lam, h, w, hw = self._live
         hit_row, hit_col = self._support_hits(zv)
         num = np.empty(zv.size, dtype=complex)
         den = np.empty(zv.size, dtype=complex)
@@ -253,7 +258,7 @@ class RationalModel:
             np.divide(1.0, cauchy, out=cauchy)  # in place; rounds like 1.0 / cauchy
             # two matrix-vector products, not one product with a two-column
             # matrix: the latter sums in another order and moves the last bits
-            np.matmul(cauchy, wh, out=num[start:stop])
+            np.matmul(cauchy, hw, out=num[start:stop])
             np.matmul(cauchy, w, out=den[start:stop])
         with np.errstate(divide="ignore", invalid="ignore"):
             r = num / den

@@ -21,6 +21,7 @@ __all__ = [
     "MetricPair",
     "BUILTIN_FUNCTIONS",
     "metrics",
+    "residual_metrics",
     "sample_builtin",
     "load_samples",
     "save_samples",
@@ -48,17 +49,26 @@ def metrics(model, data):
 
     l2 = sqrt(sum |H - r|^2) / sqrt(sum |H|^2) and
     linf = max |H - r| / max |H|, both over all M samples regardless of the
-    active partition. Raises NumericalError when every H is zero, since the
+    active partition: `residual_metrics` of one evaluation of the model at
+    every sample. The fits take their trace metrics from that helper too,
+    fed with the residuals their step already formed, so a trace row equals
+    this function of the step's model bit for bit.
+    """
+    return residual_metrics(np.abs(data.values - model(data.points)), data.values)
+
+
+def residual_metrics(res, values):
+    """MetricPair of the residuals res_i = |H_i - r_i| at every sample
+    against the sample values H; an inf residual (a pole at a sample) reads
+    inf in both. Raises NumericalError when every H is zero, since the
     normalizations are undefined then. Both sums of squares are taken after
     dividing by the same power of two, near max |H|, so they neither
     overflow nor underflow at any scale of H, and the ratio is exact.
     """
-    r = model(data.points)
-    mags = np.abs(data.values)
+    mags = np.abs(values)
     h_linf = float(mags.max())
     if h_linf == 0.0:
         raise NumericalError("all sample values are zero; normalized errors undefined")
-    res = np.abs(data.values - r)
     e = math.frexp(h_linf)[1]
     num, den = np.ldexp(res, -e), np.ldexp(mags, -e)
     num *= num

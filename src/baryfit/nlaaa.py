@@ -48,21 +48,27 @@ class NlaaaConfig(FitConfig):
             )
 
 
-def full_squared_error(supports, interp_values, weights, data):
+def full_squared_error(supports, interp_values, weights, data, out=None):
     """Squared error of the candidate rational over all samples, supports
     included (a zero-weight support contributes its true residual); inf when
-    the candidate has a pole on the grid."""
+    the candidate has a pole on the grid.
+
+    `out`, a float array with one entry per sample, receives the residuals
+    |r - H| the sum is formed from whenever the candidate evaluates.
+    """
     try:
         model = RationalModel.barycentric(supports, interp_values, weights)
         r = model(data.points)
     except (PoleAtPointError, ValueError):
         return np.inf
-    total = float(np.sum(np.abs(r - data.values) ** 2))
+    res = np.abs(r - data.values, out=out)
+    total = float(np.sum(res ** 2))
     return np.inf if np.isnan(total) else total
 
 
 def select_weights(system, data, w_prev_ext, cfg):
-    """Pick the weight vector for one NL-AAA step; returns (weights, branch).
+    """Pick the weight vector for one NL-AAA step; returns
+    (weights, branch, residuals).
 
     Runs SK on the step's LevySystem, takes one WF step from w_prev_ext,
     compares their raw active squared errors, and runs the full WF iteration
@@ -72,7 +78,10 @@ def select_weights(system, data, w_prev_ext, cfg):
     The zero extension evaluates bit for bit as the previous model (a model
     evaluates over its nonzero weights only), so this one comparison is
     against the error recorded for the previous model, and accepted errors
-    strictly fall.
+    strictly fall. The two `full_squared_error` calls are the step's only
+    evaluations on the full data: an accepted step returns the residuals
+    |r - H| at every sample of `data` that its candidate's call formed,
+    from which the loop takes its metrics, and a fallback returns None.
     """
     w_prev_ext = np.asarray(w_prev_ext, dtype=complex)
     sk = sk_iterate(system, cfg.refine)
@@ -88,10 +97,11 @@ def select_weights(system, data, w_prev_ext, cfg):
         start, branch = w_prev_ext, "wf-from-prev"
     run = wf_iterate(system, start, cfg.refine)
     supports, interp_values = system.supports, system.interp_values
-    if (full_squared_error(supports, interp_values, run.weights, data)
+    res = np.empty(data.size)
+    if (full_squared_error(supports, interp_values, run.weights, data, out=res)
             < full_squared_error(supports, interp_values, w_prev_ext, data)):
-        return run.weights, branch
-    return w_prev_ext, "fallback"
+        return run.weights, branch, res
+    return w_prev_ext, "fallback", None
 
 
 def fallback_greedy(res, data, mode, rng):
@@ -143,7 +153,7 @@ def nlaaa_fit(data, cfg):
             return fallback_greedy(res, work, cfg.fallback_mode, rng)
         return greedy_select(res, work)
 
-    def choose_weights(model, work, system):
-        return select_weights(system, work, np.append(model.weights, 0.0), cfg)
+    def choose_weights(w_prev, work, system):
+        return select_weights(system, work, np.append(w_prev, 0.0), cfg)
 
     return _greedy_fit(data, cfg, choose_index, choose_weights)

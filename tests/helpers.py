@@ -1,12 +1,13 @@
 """Shared builders for the test suite: random models, random fitting
-instances, rational test data with poles kept away from [-1, 1], and a
-counter of Cauchy assemblies."""
+instances, rational test data with poles kept away from [-1, 1] or sampled
+on the imaginary axis, a counter of Cauchy assemblies, and the replay of a
+fit trace's metrics."""
 
 import sys
 
 import numpy as np
 
-from baryfit import RationalModel, SampleSet, linalg, sample_builtin
+from baryfit import RationalModel, SampleSet, linalg, metrics, sample_builtin
 
 
 def unit_grid(count):
@@ -82,6 +83,29 @@ def rational_samples(rng, degree, count):
     fn, _ = rational_with_clear_poles(rng, degree)
     x = unit_grid(count)
     return SampleSet(x, fn(x))
+
+
+def transfer_samples(rng, pairs, freqs):
+    """Samples of a stable real system, sum of `pairs` damped conjugate pole
+    pairs, at +-i*omega for `freqs` log-spaced omega in [0.1, 10]: complex
+    conjugate-symmetric data on the imaginary axis."""
+    omega_n = 10.0 ** rng.uniform(-0.8, 0.8, pairs)
+    poles = omega_n * (-rng.uniform(0.02, 0.2, pairs) + 1j)
+    residues = nonzero_complex(rng, pairs, floor=0.1)
+    s = 1j * np.logspace(-1.0, 1.0, freqs)
+    s = np.concatenate([s, s.conj()])
+    H = (residues / (s[:, None] - poles) + residues.conj() / (s[:, None] - poles.conj())).sum(axis=1)
+    return SampleSet(s, H)
+
+
+def trace_metrics_replay(data, trace, weights):
+    """metrics(model_k, data) for each row of a fit trace, where model_k has
+    the supports of rows 1..k, their sample values and weights[k - 1]."""
+    where = {complex(z): i for i, z in enumerate(data.points)}
+    idx = [where[rec.support] for rec in trace.records]
+    return [tuple(metrics(RationalModel.barycentric(
+                data.points[idx[:k]], data.values[idx[:k]], w), data))
+            for k, w in enumerate(weights, start=1)]
 
 
 def rationals(system, w):

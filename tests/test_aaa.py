@@ -19,7 +19,7 @@ from baryfit import (
 from baryfit import aaa
 from baryfit.aaa import greedy_select, levy_weights
 from baryfit.linalg import LevySystem, assemble_levy_system, levy_matrix
-from helpers import rational_samples, unit_grid
+from helpers import rational_samples, trace_metrics_replay, transfer_samples, unit_grid
 
 
 def test_initial_model_is_the_mean(monkeypatch):
@@ -150,7 +150,8 @@ def test_aaa_stops_when_data_runs_out():
 
 def test_aaa_trace_matches_independent_replay():
     """Replay the loop from the public primitives and recompute every stopping
-    sum through model evaluation instead of the assembled system."""
+    sum through model evaluation instead of the assembled system; the trace
+    metrics equal those of the replayed model bit for bit (complex data)."""
     rng = np.random.default_rng(41)
     data = rational_samples(rng, 4, 41)
     cfg = FitConfig(max_degree=6, tol=1e-25)
@@ -180,9 +181,8 @@ def test_aaa_trace_matches_independent_replay():
         model = RationalModel.barycentric(supports, interp, w)
         raw = float(np.sum(np.abs(model(work.active_points()) - work.active_values()) ** 2))
         assert_allclose(rec.raw_active_sq_err, raw, rtol=1e-12, atol=1e-25)
-        m = metrics(model, data)
-        assert_allclose(rec.l2_norm, m.l2, rtol=1e-12)
-        assert_allclose(rec.linf_norm, m.linf, rtol=1e-12)
+        # the step's one evaluation gives the model's own metrics exactly
+        assert (rec.l2_norm, rec.linf_norm) == tuple(metrics(model, data))
         # every nonzero-weight support still interpolates exactly
         live = model.weights != 0
         assert_array_equal(model(model.supports[live]), model.values[live])
@@ -206,17 +206,120 @@ def test_aaa_exact_recovery_of_random_rational():
 
 
 def test_each_aaa_step_evaluates_its_weights_once(monkeypatch):
-    """The stopping error and the next selection share one evaluation of n
-    and d on the step's system, made through residual_sq_sum."""
+    """The stopping error, the next selection and the trace metrics share one
+    evaluation of n and d on the step's system, made through
+    residual_sq_sum: the fit builds one RationalModel, the one it returns,
+    and never evaluates a model."""
     calls = {"numerators": 0, "denominators": 0, "residual_sq_sum": 0}
     for name in calls:
         def counted(self, *args, name=name, original=getattr(LevySystem, name), **kwargs):
             calls[name] += 1
             return original(self, *args, **kwargs)
         monkeypatch.setattr(LevySystem, name, counted)
-    _, trace = aaa_fit(sample_builtin("relu", 501), FitConfig(max_degree=14, tol=0.0))
+    built, evaluated = [], []
+    original_init, original_call = RationalModel.__init__, RationalModel.__call__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        original_init(self, *args, **kwargs)
+
+    def counted_call(self, z):
+        evaluated.append(self)
+        return original_call(self, z)
+
+    monkeypatch.setattr(RationalModel, "__init__", counted_init)
+    monkeypatch.setattr(RationalModel, "__call__", counted_call)
+    model, trace = aaa_fit(sample_builtin("relu", 501), FitConfig(max_degree=14, tol=0.0))
     assert len(trace.records) == 15
     assert calls == {"numerators": 15, "denominators": 15, "residual_sq_sum": 15}
+    assert built == [model]
+    assert evaluated == []
+
+
+def _recording_levy_weights(monkeypatch, change=None):
+    """Record the weights of every AAA step after the first (k = 1 has the
+    weight 1); `change(w)` may replace them first. Returns the list of all
+    steps' weights."""
+    weights = [np.ones(1, dtype=complex)]
+    original = aaa.levy_weights
+
+    def recording(system):
+        w = original(system)
+        if change is not None:
+            w = change(w)
+        weights.append(w)
+        return w
+
+    monkeypatch.setattr(aaa, "levy_weights", recording)
+    return weights
+
+
+def test_aaa_trace_rows_equal_the_metrics_of_their_models(monkeypatch):
+    """Every row's l2/linf equal metrics(model_k, data) bit for bit on
+    complex data, through the last step, whose single active sample the
+    system's product takes as a dot."""
+    rng = np.random.default_rng(7)
+    cases = [(rational_samples(rng, 6, 201), 12),
+             (transfer_samples(rng, 4, 40), 12),
+             (SampleSet(rng.standard_normal(7), rng.standard_normal(7) + 1j * rng.standard_normal(7)), 10)]
+    for data, degree in cases:
+        weights = _recording_levy_weights(monkeypatch)
+        _, trace = aaa_fit(data, FitConfig(max_degree=degree, tol=0.0))
+        assert len(weights) == len(trace.records)
+        got = [(rec.l2_norm, rec.linf_norm) for rec in trace.records]
+        assert got == trace_metrics_replay(data, trace, weights)
+    assert len(trace.records) == 6  # the last step had one active sample
+
+
+def test_aaa_step_with_an_exact_zero_weight_records_its_models_metrics(monkeypatch):
+    """A zero weight drops out of the model but not of the system's product;
+    the row still equals metrics(model_k, data) bit for bit, the residual at
+    the zero-weight support included."""
+
+    def zero_second(w):
+        if w.size == 5:
+            w = w.copy()
+            w[1] = 0.0
+        return w
+
+    data = rational_samples(np.random.default_rng(11), 6, 101)
+    weights = _recording_levy_weights(monkeypatch, zero_second)
+    _, trace = aaa_fit(data, FitConfig(max_degree=8, tol=0.0))
+    assert weights[4][1] == 0
+    got = [(rec.l2_norm, rec.linf_norm) for rec in trace.records]
+    assert got == trace_metrics_replay(data, trace, weights)
+
+
+def test_aaa_step_with_a_pole_at_a_sample_reads_inf_and_takes_that_sample(monkeypatch):
+    """Weights whose denominator vanishes exactly at an active sample make
+    the step's errors inf instead of aborting the fit, and the next step
+    promotes that sample."""
+    # supports 0 and 2 with weights (1, 1): d(1) = 1/1 + 1/(1 - 2) = 0
+    data = SampleSet([0.0, 1.0, 2.0, 3.0, 4.0], [10.0, 1.0, 0.0, 1.0, 2.0])
+    original = aaa.levy_weights
+    monkeypatch.setattr(aaa, "levy_weights", lambda system: (
+        np.ones(2, dtype=complex) if system.supports.size == 2 else original(system)))
+    _, trace = aaa_fit(data, FitConfig(max_degree=2, tol=0.0))
+    assert [rec.support for rec in trace.records] == [0, 2, 1]
+    pole = trace.records[1]
+    assert (pole.raw_active_sq_err, pole.l2_norm, pole.linf_norm) == (np.inf,) * 3
+    assert np.isfinite(trace.records[2].l2_norm)
+
+
+def test_aaa_step_with_a_pole_at_a_zero_weight_support_reads_inf(monkeypatch):
+    """A support of zero weight is evaluated like any other sample, so a
+    pole there makes the step's l2/linf inf while its active error stays
+    finite."""
+    # supports 0, 2, 1 with weights (1, 1, 0): d(1) = 1/1 + 1/(1 - 2) = 0
+    data = SampleSet([0.0, 1.0, 2.0, 3.0, 4.0], [10.0, 1.0, 0.0, 1.0, 2.0])
+    forced = {2: [1.0, 1.0], 3: [1.0, 1.0, 0.0]}
+    monkeypatch.setattr(aaa, "levy_weights", lambda system: np.array(
+        forced[system.supports.size], dtype=complex))
+    _, trace = aaa_fit(data, FitConfig(max_degree=2, tol=0.0))
+    assert [rec.support for rec in trace.records] == [0, 2, 1]
+    last = trace.records[2]
+    assert np.isfinite(last.raw_active_sq_err)
+    assert (last.l2_norm, last.linf_norm) == (np.inf, np.inf)
 
 
 FITS = [(aaa_fit, FitConfig), (nlaaa_fit, NlaaaConfig)]

@@ -95,6 +95,26 @@ def test_eval_across_many_blocks_matches_the_direct_formula():
     assert_allclose(got, expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("k, m", [(2, 50), (7, 300), (40, 500)])
+def test_model_evaluates_at_active_samples_as_its_levy_system(k, m):
+    """With no zero weight, the model at every sample (supports included,
+    several row blocks) gives at the active samples the system's n/d bit for
+    bit on complex data: both take one matrix-vector product per row with
+    the coefficients h*w and w, so a fit's trace metrics can come from the
+    system's residuals."""
+    rng = np.random.default_rng(k)
+    supports, interp, data = random_instance(rng, k, m)
+    w = nonzero_complex(rng, k)
+    points = np.concatenate([supports, data.points])
+    values = np.concatenate([interp, data.values])
+    work = SampleSet(points, values, np.arange(k + m) >= k)
+    system = work.levy_system(supports, interp)
+    model = RationalModel.barycentric(supports, interp, w)
+    r = model(points)
+    assert r[k:].tobytes() == (system.numerators(w) / system.denominators(w)).tobytes()
+    assert r[:k].tobytes() == interp.tobytes()
+
+
 def test_eval_pole_in_a_later_block_names_the_point():
     # d(z) = 1/(z-1) + 1/(z+1) vanishes at z = 0 only
     model = RationalModel.barycentric([1.0, -1.0], [1.0, 1.0], [1.0, 1.0])
@@ -348,7 +368,7 @@ def test_realization_arrays_are_read_only():
 
 
 def test_realize_rejects_a_model_whose_c_overflows():
-    # c = h*w of the realization is the model's own w*h: a model holding an
+    # c = h*w of the realization is the model's own h*w: a model holding an
     # overflowing product cannot be built, so neither evaluation nor realize
     # ever sees one
     with warnings.catch_warnings():

@@ -19,7 +19,13 @@ from baryfit.core import NumericalError
 from baryfit.linalg import assemble_levy_system
 from baryfit.nlaaa import fallback_greedy, full_squared_error, select_weights
 from baryfit.refine import wf_iterate
-from helpers import count_assemblies, rational_samples, unit_grid
+from helpers import (
+    count_assemblies,
+    rational_samples,
+    trace_metrics_replay,
+    transfer_samples,
+    unit_grid,
+)
 
 BRANCHES = {"levy", "wf-from-sk", "wf-from-prev", "fallback"}
 
@@ -77,7 +83,7 @@ def test_select_weights_never_worsens_an_exact_previous_model():
     assert prev_err < 1e-20
 
     system = assemble_levy_system(data.active_points(), data.active_values(), supports, interp)
-    weights, branch = select_weights(system, data, w_prev_ext, NlaaaConfig(max_degree=5))
+    weights, branch, _ = select_weights(system, data, w_prev_ext, NlaaaConfig(max_degree=5))
     assert branch in BRANCHES - {"levy"}
     err = full_squared_error(supports, interp, weights, data)
     assert err <= prev_err
@@ -98,13 +104,14 @@ def test_select_weights_falls_back_when_wf_returns_its_start(monkeypatch):
 
     def checked_select(system, data, w_prev_ext, cfg):
         runs.clear()
-        weights, branch = original_select(system, data, w_prev_ext, cfg)
+        out = original_select(system, data, w_prev_ext, cfg)
+        weights, branch, _ = out
         [(start, returned)] = runs
         if start == returned == w_prev_ext.tobytes():
             assert branch == "fallback"
             assert weights.tobytes() == w_prev_ext.tobytes()
             ties.append(system.supports.size)
-        return weights, branch
+        return out
 
     monkeypatch.setattr(nlaaa, "wf_iterate", recording_wf)
     monkeypatch.setattr(nlaaa, "select_weights", checked_select)
@@ -130,10 +137,11 @@ def test_every_nlaaa_model_evaluates_as_its_copy_without_zero_weights(monkeypatc
                 == full_squared_error(supports[live], interp[live], weights[live], data))
 
     def checked_select(system, work, w_prev_ext, cfg):
-        weights, branch = original_select(system, work, w_prev_ext, cfg)
+        out = original_select(system, work, w_prev_ext, cfg)
+        weights, branch, _ = out
         for w in (w_prev_ext, weights):
             check(system.supports, system.interp_values, w)
-        return weights, branch
+        return out
 
     monkeypatch.setattr(nlaaa, "select_weights", checked_select)
     model, _ = nlaaa_fit(data, NlaaaConfig(max_degree=30, tol=0.0))
@@ -168,14 +176,15 @@ def test_wf_from_prev_continues_the_one_step_wf(monkeypatch):
 
     def checked_select(system, data, w_prev_ext, cfg):
         solves.clear()
-        weights, branch = original_select(system, data, w_prev_ext, cfg)
+        out = original_select(system, data, w_prev_ext, cfg)
+        weights, branch, _ = out
         if branch == "wf-from-prev":
             made = len(solves)
             want = wf_iterate(system, w_prev_ext, cfg.refine)
             assert made == len(want.errors)
             assert weights.tobytes() == want.weights.tobytes()
             from_prev.append(made)
-        return weights, branch
+        return out
 
     monkeypatch.setattr(refine, "pivoted_weighted_lsq", counting_lsq)
     monkeypatch.setattr(nlaaa, "select_weights", checked_select)
@@ -194,6 +203,77 @@ def test_wf_iterate_runs_once_per_select_weights_call(monkeypatch):
     _, trace = nlaaa_fit(sample_builtin("relu", 501), NlaaaConfig(max_degree=14, tol=0.0))
     assert calls == ["select_weights", "wf_iterate"] * (len(trace.records) - 1)
     assert any(r.branch == "wf-from-prev" for r in trace.records)
+
+
+def _recording_select(monkeypatch):
+    """Record the weights of every NL-AAA step (k = 1 has the weight 1);
+    returns that list and the list of branches."""
+    weights, branches = [np.ones(1, dtype=complex)], []
+    original = nlaaa.select_weights
+
+    def recording(system, work, w_prev_ext, cfg):
+        out = original(system, work, w_prev_ext, cfg)
+        weights.append(out[0])
+        branches.append(out[1])
+        return out
+
+    monkeypatch.setattr(nlaaa, "select_weights", recording)
+    return weights, branches
+
+
+@pytest.mark.parametrize("case", ["rational", "imaginary_axis", "builtin"])
+def test_every_nlaaa_row_equals_the_metrics_of_its_model(monkeypatch, case):
+    """Each row's l2/linf equal metrics(model_k, data) bit for bit: an
+    accepted step takes them from its candidate's evaluation in
+    select_weights, a fallback keeps the previous row's, and the zero
+    extension evaluates as the previous model."""
+    rng = np.random.default_rng(17)
+    data, degree = {
+        "rational": lambda: (rational_samples(rng, 6, 201), 10),
+        "imaginary_axis": lambda: (transfer_samples(rng, 5, 60), 14),
+        "builtin": lambda: (sample_builtin("abs", 201), 16),
+    }[case]()
+    weights, branches = _recording_select(monkeypatch)
+    _, trace = nlaaa_fit(data, NlaaaConfig(max_degree=degree, tol=0.0))
+    assert len(weights) == len(trace.records)
+    assert "wf-from-sk" in branches or "wf-from-prev" in branches
+    got = [(rec.l2_norm, rec.linf_norm) for rec in trace.records]
+    assert got == trace_metrics_replay(data, trace, weights)
+
+
+def test_each_nlaaa_step_evaluates_on_the_full_data_twice(monkeypatch):
+    """select_weights evaluates its candidate and its reference once each at
+    every sample and builds no other model; the loop evaluates nothing and
+    builds only the model it returns."""
+    data = sample_builtin("relu", 501)
+    built, evaluated = [], []
+    inside = []
+    original_init, original_call = RationalModel.__init__, RationalModel.__call__
+    original_select = nlaaa.select_weights
+
+    def counted_init(self, *args, **kwargs):
+        built.append(bool(inside))
+        original_init(self, *args, **kwargs)
+
+    def counted_call(self, z):
+        evaluated.append((bool(inside), np.size(z)))
+        return original_call(self, z)
+
+    def marked_select(*args):
+        inside.append(1)
+        try:
+            return original_select(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(RationalModel, "__init__", counted_init)
+    monkeypatch.setattr(RationalModel, "__call__", counted_call)
+    monkeypatch.setattr(nlaaa, "select_weights", marked_select)
+    _, trace = nlaaa_fit(data, NlaaaConfig(max_degree=14, tol=0.0))
+    steps = len(trace.records) - 1
+    assert steps == 14
+    assert evaluated == [(True, data.size)] * (2 * steps)
+    assert built == [True] * (2 * steps) + [False]
 
 
 def test_fallback_greedy_probabilistic_matches_residual_distribution():

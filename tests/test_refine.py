@@ -217,7 +217,7 @@ def test_select_weights_survives_a_previous_model_with_a_pole_at_a_sample():
     interp = work.values[picked]
     w_prev_ext = np.array([1.0, 1.0, 0.0], dtype=complex)
     cfg = NlaaaConfig(max_degree=2)
-    weights, branch = select_weights(_system_for(supports, interp, work), work, w_prev_ext, cfg)
+    weights, branch, _ = select_weights(_system_for(supports, interp, work), work, w_prev_ext, cfg)
     assert branch == "wf-from-sk"
     system = _system_for(supports, interp, work)
     assert np.isfinite(system.residual_sq_sum(weights))
