@@ -11,6 +11,7 @@ next step ranks.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +39,11 @@ class FitConfig:
     tol: float = 1e-12
 
     def __post_init__(self):
-        if self.max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
+        try:
+            if operator.index(self.max_degree) < 0:
+                raise ValueError("max_degree must be >= 0")
+        except TypeError:
+            raise ValueError("max_degree must be an integer") from None
         if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
 
@@ -112,16 +116,13 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
     constant mean of the values starts it. Each step promotes
     `choose_index(res, work, branch)` to a support (`branch` is that of the
     step that made r, None at the start), builds the step's LevySystem, and
-    takes `(weights, branch, full) = choose_weights(w_prev, work, system)`
-    for the previous weights w_prev; the first step's weight is 1. One
-    `system.residual_sq_sum` of the new weights gives both the stopping
-    error and the next `res`. The trace metrics come from one evaluation
-    too: from `full`, the residuals at every sample that the weight choice
-    already formed, or, when it is None, from `res` (see _full_residuals).
-    Either equals `metrics(model, work)` of the step's model bit for bit,
-    and apart from the rare steps _full_residuals names, the loop builds
-    and evaluates no model. A "fallback" step keeps the model's function,
-    so its metrics carry over.
+    takes `(weights, branch) = choose_weights(w_prev, work, system)` for
+    the previous weights w_prev; the first step's weight is 1. One
+    `system.residual_sq_sum` of the new weights gives the stopping error,
+    the next `res` and, through _full_residuals, trace metrics equal to
+    `metrics(model, work)` of the step's model bit for bit; apart from the
+    rare steps it names, the loop builds and evaluates no model. A
+    "fallback" step keeps the model's function, so its metrics carry over.
 
     The loop fits H / 2^e, with e chosen so that max|H| / 2^e lies in
     [1, 2). A power-of-two scale is exact and every kernel is homogeneous
@@ -150,9 +151,9 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
         work = work.deactivate(idx)
         system = work.levy_system(supports, interp_values)
         if k == 1:
-            w, branch, full = np.ones(1, dtype=complex), "levy", None
+            w, branch = np.ones(1, dtype=complex), "levy"
         else:
-            w, branch, full = choose_weights(w, work, system)
+            w, branch = choose_weights(w, work, system)
         res = np.empty(work.active_count)
         try:
             raw = math.ldexp(system.residual_sq_sum(w, out=res), 2 * e)
@@ -160,9 +161,7 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
             raw = math.inf
         res[np.isnan(res)] = np.inf
         if branch != "fallback":
-            if full is None:
-                full = _full_residuals(work, supports, interp_values, w, res)
-            m = residual_metrics(full, work.values)
+            m = residual_metrics(_full_residuals(work, supports, interp_values, w, res), work.values)
         trace.records.append(
             TraceRecord(k, k - 1, complex(supports[-1]), raw, m.l2, m.linf, branch)
         )
@@ -187,5 +186,5 @@ def aaa_fit(data, cfg):
         data,
         cfg,
         lambda res, work, branch: greedy_select(res, work),
-        lambda w_prev, work, system: (levy_weights(system), "levy", None),
+        lambda w_prev, work, system: (levy_weights(system), "levy"),
     )

@@ -7,8 +7,8 @@ WF iteration. Problem sizes are desk scale, so dense LAPACK kernels are the
 right tool. The fits build one :class:`LevySystem` per greedy step, and one
 :meth:`LevySystem.residual_sq_sum` of the step's weights gives both the
 active error and the residuals |r - H| that the next greedy selection
-ranks. Tall
-homogeneous solves decompose their R factor, bitwise as zgesdd itself would.
+ranks. Tall homogeneous solves decompose their R factor, bitwise as zgesdd
+itself would.
 """
 
 from dataclasses import dataclass

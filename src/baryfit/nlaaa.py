@@ -7,11 +7,13 @@ runs the full WF iteration from the better of the two, and keeps the
 previous model (zero weight on the new support) whenever nothing beats it
 on the full data set. A zero weight drops out of model evaluation, so the
 zero-extended previous weights evaluate bit for bit as the previous model
-and are the one reference of that test. The fallback makes the reported
-full-data error provably non-increasing; the step after a fallback ranks
-the loop's active residuals |r - H| with a probabilistic or relative-error
-variant of the greedy selection, so the same support choice cannot stall
-the iteration twice.
+and are the one reference of that test, which only accepts or rejects: the
+loop takes every step's trace metrics from its active residuals, as for
+AAA. The fallback makes the reported full-data error provably
+non-increasing; the step after a fallback ranks the loop's active
+residuals |r - H| with a probabilistic or relative-error variant of the
+greedy selection, so the same support choice cannot stall the iteration
+twice.
 """
 
 from dataclasses import dataclass, field
@@ -48,27 +50,23 @@ class NlaaaConfig(FitConfig):
             )
 
 
-def full_squared_error(supports, interp_values, weights, data, out=None):
+def full_squared_error(supports, interp_values, weights, data):
     """Squared error of the candidate rational over all samples, supports
     included (a zero-weight support contributes its true residual); inf when
-    the candidate has a pole on the grid.
-
-    `out`, a float array with one entry per sample, receives the residuals
-    |r - H| the sum is formed from whenever the candidate evaluates.
+    the candidate has a pole on the grid. Only NL-AAA's acceptance test uses
+    it; the greedy loop takes its trace metrics from its own residuals.
     """
     try:
         model = RationalModel.barycentric(supports, interp_values, weights)
         r = model(data.points)
     except (PoleAtPointError, ValueError):
         return np.inf
-    res = np.abs(r - data.values, out=out)
-    total = float(np.sum(res ** 2))
+    total = float(np.sum(np.abs(r - data.values) ** 2))
     return np.inf if np.isnan(total) else total
 
 
 def select_weights(system, data, w_prev_ext, cfg):
-    """Pick the weight vector for one NL-AAA step; returns
-    (weights, branch, residuals).
+    """Pick the weight vector for one NL-AAA step; returns (weights, branch).
 
     Runs SK on the step's LevySystem, takes one WF step from w_prev_ext,
     compares their raw active squared errors, and runs the full WF iteration
@@ -78,10 +76,9 @@ def select_weights(system, data, w_prev_ext, cfg):
     The zero extension evaluates bit for bit as the previous model (a model
     evaluates over its nonzero weights only), so this one comparison is
     against the error recorded for the previous model, and accepted errors
-    strictly fall. The two `full_squared_error` calls are the step's only
-    evaluations on the full data: an accepted step returns the residuals
-    |r - H| at every sample of `data` that its candidate's call formed,
-    from which the loop takes its metrics, and a fallback returns None.
+    strictly fall. The two `full_squared_error` calls, candidate and
+    reference, only decide acceptance; the loop takes an accepted step's
+    metrics from its own active residuals, as in AAA.
     """
     w_prev_ext = np.asarray(w_prev_ext, dtype=complex)
     sk = sk_iterate(system, cfg.refine)
@@ -97,11 +94,10 @@ def select_weights(system, data, w_prev_ext, cfg):
         start, branch = w_prev_ext, "wf-from-prev"
     run = wf_iterate(system, start, cfg.refine)
     supports, interp_values = system.supports, system.interp_values
-    res = np.empty(data.size)
-    if (full_squared_error(supports, interp_values, run.weights, data, out=res)
+    if (full_squared_error(supports, interp_values, run.weights, data)
             < full_squared_error(supports, interp_values, w_prev_ext, data)):
-        return run.weights, branch, res
-    return w_prev_ext, "fallback", None
+        return run.weights, branch
+    return w_prev_ext, "fallback"
 
 
 def fallback_greedy(res, data, mode, rng):

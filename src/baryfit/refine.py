@@ -10,6 +10,7 @@ Each iterate's error and the next step share one evaluation of n and d.
 A WF run has one entry point, :func:`wf_iterate`.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,11 @@ class RefineConfig:
     tol_wf: float = 1e-8
 
     def __post_init__(self):
-        if self.p_max < 1:
-            raise ValueError("p_max must be >= 1")
+        try:
+            if operator.index(self.p_max) < 1:
+                raise ValueError("p_max must be >= 1")
+        except TypeError:
+            raise ValueError("p_max must be an integer") from None
         if not (self.tol_sk >= 0 and self.tol_wf >= 0):
             raise ValueError("tolerances must be >= 0")
 

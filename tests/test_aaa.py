@@ -105,6 +105,9 @@ def test_fit_config_validation():
         FitConfig(max_degree=2, tol=-1.0)
     with pytest.raises(ValueError):
         FitConfig(max_degree=2, tol=np.nan)
+    with pytest.raises(ValueError):
+        FitConfig(max_degree=2.5)
+    assert FitConfig(max_degree=np.int64(2)).max_degree == 2
 
 
 def test_aaa_needs_two_samples():

@@ -83,7 +83,7 @@ def test_select_weights_never_worsens_an_exact_previous_model():
     assert prev_err < 1e-20
 
     system = assemble_levy_system(data.active_points(), data.active_values(), supports, interp)
-    weights, branch, _ = select_weights(system, data, w_prev_ext, NlaaaConfig(max_degree=5))
+    weights, branch = select_weights(system, data, w_prev_ext, NlaaaConfig(max_degree=5))
     assert branch in BRANCHES - {"levy"}
     err = full_squared_error(supports, interp, weights, data)
     assert err <= prev_err
@@ -105,7 +105,7 @@ def test_select_weights_falls_back_when_wf_returns_its_start(monkeypatch):
     def checked_select(system, data, w_prev_ext, cfg):
         runs.clear()
         out = original_select(system, data, w_prev_ext, cfg)
-        weights, branch, _ = out
+        weights, branch = out
         [(start, returned)] = runs
         if start == returned == w_prev_ext.tobytes():
             assert branch == "fallback"
@@ -138,7 +138,7 @@ def test_every_nlaaa_model_evaluates_as_its_copy_without_zero_weights(monkeypatc
 
     def checked_select(system, work, w_prev_ext, cfg):
         out = original_select(system, work, w_prev_ext, cfg)
-        weights, branch, _ = out
+        weights, branch = out
         for w in (w_prev_ext, weights):
             check(system.supports, system.interp_values, w)
         return out
@@ -177,7 +177,7 @@ def test_wf_from_prev_continues_the_one_step_wf(monkeypatch):
     def checked_select(system, data, w_prev_ext, cfg):
         solves.clear()
         out = original_select(system, data, w_prev_ext, cfg)
-        weights, branch, _ = out
+        weights, branch = out
         if branch == "wf-from-prev":
             made = len(solves)
             want = wf_iterate(system, w_prev_ext, cfg.refine)
@@ -221,30 +221,37 @@ def _recording_select(monkeypatch):
     return weights, branches
 
 
-@pytest.mark.parametrize("case", ["rational", "imaginary_axis", "builtin"])
+@pytest.mark.parametrize("case", ["rational", "imaginary_axis", "builtin", "zero_weight"])
 def test_every_nlaaa_row_equals_the_metrics_of_its_model(monkeypatch, case):
-    """Each row's l2/linf equal metrics(model_k, data) bit for bit: an
-    accepted step takes them from its candidate's evaluation in
-    select_weights, a fallback keeps the previous row's, and the zero
-    extension evaluates as the previous model."""
+    """Each row's l2/linf equal metrics(model_k, data) bit for bit: a step
+    other than a fallback takes them from its active residuals, as AAA does,
+    a fallback keeps the previous row's, and the zero extension evaluates as
+    the previous model. The zero_weight fit accepts candidates with an exact
+    zero weight, the steps whose metrics come from evaluating the model."""
     rng = np.random.default_rng(17)
     data, degree = {
         "rational": lambda: (rational_samples(rng, 6, 201), 10),
         "imaginary_axis": lambda: (transfer_samples(rng, 5, 60), 14),
         "builtin": lambda: (sample_builtin("abs", 201), 16),
+        "zero_weight": lambda: (sample_builtin("relu", 201), 40),
     }[case]()
     weights, branches = _recording_select(monkeypatch)
     _, trace = nlaaa_fit(data, NlaaaConfig(max_degree=degree, tol=0.0))
     assert len(weights) == len(trace.records)
     assert "wf-from-sk" in branches or "wf-from-prev" in branches
+    zero_weight_accepted = any(
+        b != "fallback" and not w.all() for w, b in zip(weights[1:], branches))
+    assert zero_weight_accepted == (case == "zero_weight")
     got = [(rec.l2_norm, rec.linf_norm) for rec in trace.records]
     assert got == trace_metrics_replay(data, trace, weights)
 
 
 def test_each_nlaaa_step_evaluates_on_the_full_data_twice(monkeypatch):
     """select_weights evaluates its candidate and its reference once each at
-    every sample and builds no other model; the loop evaluates nothing and
-    builds only the model it returns."""
+    every sample and builds no other model. This fit accepts no candidate
+    with a zero weight, so the loop, which takes every step's metrics from
+    its active residuals, evaluates nothing and builds only the model it
+    returns."""
     data = sample_builtin("relu", 501)
     built, evaluated = [], []
     inside = []

@@ -35,6 +35,8 @@ def test_refine_config_validation():
     with pytest.raises(ValueError):
         RefineConfig(p_max=0)
     with pytest.raises(ValueError):
+        RefineConfig(p_max=2.5)
+    with pytest.raises(ValueError):
         RefineConfig(tol_sk=-1.0)
     with pytest.raises(ValueError):
         RefineConfig(tol_wf=-1.0)
@@ -217,7 +219,7 @@ def test_select_weights_survives_a_previous_model_with_a_pole_at_a_sample():
     interp = work.values[picked]
     w_prev_ext = np.array([1.0, 1.0, 0.0], dtype=complex)
     cfg = NlaaaConfig(max_degree=2)
-    weights, branch, _ = select_weights(_system_for(supports, interp, work), work, w_prev_ext, cfg)
+    weights, branch = select_weights(_system_for(supports, interp, work), work, w_prev_ext, cfg)
     assert branch == "wf-from-sk"
     system = _system_for(supports, interp, work)
     assert np.isfinite(system.residual_sq_sum(weights))
