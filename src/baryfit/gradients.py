@@ -37,6 +37,8 @@ __all__ = [
     "denominator_variation",
 ]
 
+_REL_STEP = 1e-6  # relative step of finite_difference_gradient
+
 
 def _nonzero_denominators(system, w):
     d = system.denominators(w)
@@ -155,17 +157,17 @@ def error_wf_step(supports, interp_values, data, w, w_prev):
     return float(np.sum(np.abs(resid) ** 2 / np.abs(d_prev) ** 2))
 
 
-def finite_difference_gradient(error_fn, w, rel_step=1e-6):
+def finite_difference_gradient(error_fn, w):
     """Central-difference Wirtinger gradient of a real scalar error.
 
     Differences the real and imaginary parts separately with step
-    h_j = rel_step*(1 + |w_j|) and maps back through
+    h_j = _REL_STEP*(1 + |w_j|) and maps back through
     dE/dw_j = (dE/dx_j - i dE/dy_j)/2.
     """
     w = np.asarray(w, dtype=complex)
     grad = np.empty(w.size, dtype=complex)
     for j in range(w.size):
-        h = rel_step * (1.0 + abs(w[j]))
+        h = _REL_STEP * (1.0 + abs(w[j]))
         step = np.zeros(w.size, dtype=complex)
         step[j] = h
         de_dx = (error_fn(w + step) - error_fn(w - step)) / (2.0 * h)

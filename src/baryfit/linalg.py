@@ -174,8 +174,7 @@ def pivoted_weighted_lsq(row_weights, F, b, pivot=0):
 
     D is diagonal with the given positive row weights. The free entries are
     found by a rank-revealing LAPACK least-squares solve (minimum-norm
-    solution under rank deficiency). With a single column the constraint
-    fixes everything and (1,) is returned unconditionally.
+    solution under rank deficiency); a single column leaves none free.
     """
     F = np.asarray(F, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -185,8 +184,6 @@ def pivoted_weighted_lsq(row_weights, F, b, pivot=0):
         raise ValueError("pivot %d out of range for %d columns" % (pivot, k))
     w = np.zeros(k, dtype=complex)
     w[pivot] = 1.0
-    if k == 1:
-        return w
     free = np.arange(k) != pivot
     lhs = F[:, free]
     lhs *= d[:, None]

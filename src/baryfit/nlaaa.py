@@ -7,9 +7,9 @@ runs the full WF iteration from the better of the two, and keeps the
 previous model (zero weight on the new support) whenever nothing beats it
 on the full data set. A zero weight drops out of model evaluation, so the
 zero-extended previous weights evaluate bit for bit as the previous model
-and are the one reference of that test, which only accepts or rejects: the
-loop takes every step's trace metrics from its active residuals, as for
-AAA. The fallback makes the reported full-data error provably
+and are the one reference of that test, which scores both weight vectors
+by the full-data residuals the loop takes every step's trace metrics
+from, as for AAA. The fallback makes the reported full-data error provably
 non-increasing; the step after a fallback ranks the loop's active
 residuals |r - H| with a probabilistic or relative-error variant of the
 greedy selection, so the same support choice cannot stall the iteration
@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aaa import FitConfig, _greedy_fit, greedy_select
-from .core import NumericalError, PoleAtPointError, RationalModel
+from .aaa import FitConfig, _full_residuals, _greedy_fit, greedy_select
+from .core import NumericalError
 from .refine import RefineConfig, sk_iterate, wf_iterate, wf_step
 
 __all__ = [
@@ -50,18 +50,17 @@ class NlaaaConfig(FitConfig):
             )
 
 
-def full_squared_error(supports, interp_values, weights, data):
-    """Squared error of the candidate rational over all samples, supports
-    included (a zero-weight support contributes its true residual); inf when
-    the candidate has a pole on the grid. Only NL-AAA's acceptance test uses
-    it; the greedy loop takes its trace metrics from its own residuals.
+def full_squared_error(system, weights, data):
+    """Squared error over all samples of `data`, the step's work set, whose
+    interpolated samples are the system's supports (a zero-weight support
+    contributes its true residual); inf at a pole on the grid or where h*w
+    overflows. It sums the squares of ``aaa._full_residuals``, the residuals
+    the loop's trace metrics come from; only NL-AAA's acceptance test uses it.
     """
-    try:
-        model = RationalModel.barycentric(supports, interp_values, weights)
-        r = model(data.points)
-    except (PoleAtPointError, ValueError):
-        return np.inf
-    total = float(np.sum(np.abs(r - data.values) ** 2))
+    res = np.empty(data.active_count)
+    system.residual_sq_sum(weights, out=res)
+    full = _full_residuals(data, system.supports, system.interp_values, weights, res)
+    total = float(np.sum(full ** 2))
     return np.inf if np.isnan(total) else total
 
 
@@ -71,14 +70,14 @@ def select_weights(system, data, w_prev_ext, cfg):
     Runs SK on the step's LevySystem, takes one WF step from w_prev_ext,
     compares their raw active squared errors, and runs the full WF iteration
     from the better initializer. The winning iterate must strictly lower the
-    full-data squared error of w_prev_ext over all samples of `data`;
+    full-data squared error of w_prev_ext over all samples of `data`, the
+    step's work set, whose interpolated samples are the system's supports;
     otherwise w_prev_ext is kept and the branch tag reports the fallback.
     The zero extension evaluates bit for bit as the previous model (a model
     evaluates over its nonzero weights only), so this one comparison is
     against the error recorded for the previous model, and accepted errors
-    strictly fall. The two `full_squared_error` calls, candidate and
-    reference, only decide acceptance; the loop takes an accepted step's
-    metrics from its own active residuals, as in AAA.
+    strictly fall. Of the two `full_squared_error` calls, which only decide
+    acceptance, the reference's evaluates a model, the candidate's rarely.
     """
     w_prev_ext = np.asarray(w_prev_ext, dtype=complex)
     sk = sk_iterate(system, cfg.refine)
@@ -93,9 +92,8 @@ def select_weights(system, data, w_prev_ext, cfg):
     else:
         start, branch = w_prev_ext, "wf-from-prev"
     run = wf_iterate(system, start, cfg.refine)
-    supports, interp_values = system.supports, system.interp_values
-    if (full_squared_error(supports, interp_values, run.weights, data)
-            < full_squared_error(supports, interp_values, w_prev_ext, data)):
+    if (full_squared_error(system, run.weights, data)
+            < full_squared_error(system, w_prev_ext, data)):
         return run.weights, branch
     return w_prev_ext, "fallback"
 

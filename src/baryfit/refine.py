@@ -117,26 +117,28 @@ def wf_step(system, w_prev):
     of w_prev when entry 0 is negligible.
     """
     w_prev = np.asarray(w_prev, dtype=complex)
+    pivot = _choose_pivot(w_prev)
     n_prev, d_prev = system.numerators(w_prev), system.denominators(w_prev)
-    return _linearized_step(system, n_prev, d_prev, _choose_pivot(w_prev))
-
-
-def _linearized_step(system, n_prev, d_prev, pivot):
-    """:func:`wf_step` from n(z_i; w_prev) and d(z_i; w_prev)."""
     exact_zero = np.nonzero(d_prev == 0)[0]
     if exact_zero.size:
         raise NumericalError(
             "denominator of the current weights vanishes at sample z = %s"
             % system.active_points[exact_zero[0]]
         )
+    return _linearized_step(system, n_prev, d_prev, pivot)
+
+
+def _linearized_step(system, n_prev, d_prev, pivot):
+    """:func:`wf_step` from n(z_i; w_prev) and d(z_i; w_prev), d nonzero."""
     F = system.shifted_numerator_matrix(n_prev / d_prev)
     b = -n_prev + d_prev * system.data_values
     return pivoted_weighted_lsq(denominator_weighting(d_prev), F, b, pivot)
 
 
 def _pivot_normalized_diff(w, w_prev, pivot):
-    # w[pivot] != 0: _choose_pivot picks a nonzero entry, WF steps pin it to 1
-    return float(np.linalg.norm(w / w[pivot] - w_prev / w_prev[pivot]))
+    # w[pivot] != 0 (_choose_pivot, WF pins it); an overflow reads as unconverged
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(w / w[pivot] - w_prev / w_prev[pivot]))
 
 
 def wf_iterate(system, w0, cfg):

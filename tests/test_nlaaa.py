@@ -15,7 +15,7 @@ from baryfit import (
 )
 from baryfit import nlaaa, refine
 from baryfit.aaa import levy_weights
-from baryfit.core import NumericalError
+from baryfit.core import NumericalError, PoleAtPointError
 from baryfit.linalg import assemble_levy_system
 from baryfit.nlaaa import fallback_greedy, full_squared_error, select_weights
 from baryfit.refine import wf_iterate
@@ -44,26 +44,29 @@ def test_full_squared_error_counts_zero_weight_supports():
     supports = np.array([0.0, 1.0], dtype=complex)
     values = np.array([5.0, 9.0], dtype=complex)
     weights = np.array([1.0, 0.0], dtype=complex)
-    data = SampleSet([0.0, 1.0, 3.0], [5.0, 9.0, 5.0])
+    data = SampleSet([0.0, 1.0, 3.0], [5.0, 9.0, 5.0], [False, False, True])
     # the model evaluates to 5 everywhere, so only z = 1 contributes (9-5)^2
-    err = full_squared_error(supports, values, weights, data)
+    err = full_squared_error(data.levy_system(supports, values), weights, data)
     assert_allclose(err, 16.0, rtol=1e-12)
 
 
 def test_full_squared_error_pole_gives_inf():
-    supports = np.array([1.0, -1.0], dtype=complex)
-    values = np.array([1.0, 1.0], dtype=complex)
-    weights = np.array([1.0, 1.0], dtype=complex)
-    data = SampleSet([0.0, 2.0], [1.0, 1.0])  # z = 0 is a pole of the model
-    assert full_squared_error(supports, values, weights, data) == np.inf
+    supports = np.array([1.0, -1.0, 0.0], dtype=complex)
+    values = np.ones(3, dtype=complex)
+    data = SampleSet([1.0, -1.0, 0.0, 2.0, 3.0], np.ones(5), [False, False, True, True, True])
+    system = data.levy_system(supports[:2], values[:2])
+    # z = 0 is a pole of the model: at an active sample ...
+    assert full_squared_error(system, np.ones(2, dtype=complex), data) == np.inf
+    # ... and at a support of zero weight
+    smaller = data.deactivate(2)
+    system = smaller.levy_system(supports, values)
+    assert full_squared_error(system, np.array([1.0, 1.0, 0.0], dtype=complex), smaller) == np.inf
 
 
 def test_full_squared_error_all_zero_weights_gives_inf():
-    data = SampleSet([0.0, 2.0], [1.0, 1.0])
-    err = full_squared_error(
-        np.array([1.0 + 0j]), np.array([1.0 + 0j]), np.zeros(1, dtype=complex), data
-    )
-    assert err == np.inf
+    data = SampleSet([1.0, 0.0, 2.0], [1.0, 1.0, 1.0], [False, True, True])
+    system = data.levy_system(np.array([1.0 + 0j]), np.array([1.0 + 0j]))
+    assert full_squared_error(system, np.zeros(1, dtype=complex), data) == np.inf
 
 
 def test_select_weights_never_worsens_an_exact_previous_model():
@@ -79,13 +82,13 @@ def test_select_weights_never_worsens_an_exact_previous_model():
     two_mask[[0, 10]] = False
     w_exact = levy_weights(SampleSet(x, H, two_mask).levy_system(supports[:2], interp[:2]))
     w_prev_ext = np.append(w_exact, 0.0)
-    prev_err = full_squared_error(supports, interp, w_prev_ext, data)
+    system = assemble_levy_system(data.active_points(), data.active_values(), supports, interp)
+    prev_err = full_squared_error(system, w_prev_ext, data)
     assert prev_err < 1e-20
 
-    system = assemble_levy_system(data.active_points(), data.active_values(), supports, interp)
     weights, branch = select_weights(system, data, w_prev_ext, NlaaaConfig(max_degree=5))
     assert branch in BRANCHES - {"levy"}
-    err = full_squared_error(supports, interp, weights, data)
+    err = full_squared_error(system, weights, data)
     assert err <= prev_err
     assert err < 1e-20
 
@@ -119,13 +122,24 @@ def test_select_weights_falls_back_when_wf_returns_its_start(monkeypatch):
     assert ties
 
 
+def _model_squared_error(model, data):
+    """The squared error of a built model at every sample of `data`, inf
+    at a pole or where the sum is nan."""
+    try:
+        total = float(np.sum(np.abs(model(data.points) - data.values) ** 2))
+    except PoleAtPointError:
+        return np.inf
+    return np.inf if np.isnan(total) else total
+
+
 def test_every_nlaaa_model_evaluates_as_its_copy_without_zero_weights(monkeypatch):
     """Each candidate and each zero-extended previous model of an NL-AAA fit
-    evaluates at the samples, and scores in full_squared_error, bit for bit
-    as the same model without its zero-weight supports."""
+    evaluates at the samples bit for bit as the same model without its
+    zero-weight supports, and full_squared_error, which scores it on the
+    step's system, equals that model's squared error bit for bit."""
     data = sample_builtin("abs", 501)
-    original_select = nlaaa.select_weights
-    zero_weights = []
+    original_score = nlaaa.full_squared_error
+    zero_weights, scored = [], []
 
     def check(supports, interp, weights):
         live = weights != 0
@@ -133,20 +147,22 @@ def test_every_nlaaa_model_evaluates_as_its_copy_without_zero_weights(monkeypatc
         whole = RationalModel.barycentric(supports, interp, weights)
         compact = RationalModel.barycentric(supports[live], interp[live], weights[live])
         assert whole(data.points).tobytes() == compact(data.points).tobytes()
-        assert (full_squared_error(supports, interp, weights, data)
-                == full_squared_error(supports[live], interp[live], weights[live], data))
+        return compact
 
-    def checked_select(system, work, w_prev_ext, cfg):
-        out = original_select(system, work, w_prev_ext, cfg)
-        weights, branch = out
-        for w in (w_prev_ext, weights):
-            check(system.supports, system.interp_values, w)
-        return out
+    def checked_score(system, weights, work):
+        got = original_score(system, weights, work)
+        compact = check(system.supports, system.interp_values, weights)
+        assert got == _model_squared_error(compact, work)
+        scored.append(bool(weights.all()))
+        return got
 
-    monkeypatch.setattr(nlaaa, "select_weights", checked_select)
-    model, _ = nlaaa_fit(data, NlaaaConfig(max_degree=30, tol=0.0))
+    monkeypatch.setattr(nlaaa, "full_squared_error", checked_score)
+    model, trace = nlaaa_fit(data, NlaaaConfig(max_degree=30, tol=0.0))
     check(model.supports, model.values, model.weights)
     assert zero_weights[-1] > 0
+    # a candidate and a reference per step, scored by both routes
+    assert len(scored) == 2 * (len(trace.records) - 1)
+    assert any(scored) and not all(scored)
 
 
 def test_each_fit_step_assembles_one_system(monkeypatch):
@@ -246,17 +262,19 @@ def test_every_nlaaa_row_equals_the_metrics_of_its_model(monkeypatch, case):
     assert got == trace_metrics_replay(data, trace, weights)
 
 
-def test_each_nlaaa_step_evaluates_on_the_full_data_twice(monkeypatch):
-    """select_weights evaluates its candidate and its reference once each at
-    every sample and builds no other model. This fit accepts no candidate
-    with a zero weight, so the loop, which takes every step's metrics from
-    its active residuals, evaluates nothing and builds only the model it
-    returns."""
+def test_each_nlaaa_step_evaluates_its_reference_and_zero_weight_candidates(monkeypatch):
+    """select_weights builds and evaluates one model at every sample, its
+    zero-extended reference, plus one for a candidate with an exact zero
+    weight; any other candidate is scored on the step's system. This fit
+    accepts no candidate with a zero weight, so the loop, which takes every
+    step's metrics from its active residuals, evaluates nothing and builds
+    only the model it returns."""
     data = sample_builtin("relu", 501)
     built, evaluated = [], []
     inside = []
+    zero_candidates = []
     original_init, original_call = RationalModel.__init__, RationalModel.__call__
-    original_select = nlaaa.select_weights
+    original_select, original_wf = nlaaa.select_weights, nlaaa.wf_iterate
 
     def counted_init(self, *args, **kwargs):
         built.append(bool(inside))
@@ -273,14 +291,22 @@ def test_each_nlaaa_step_evaluates_on_the_full_data_twice(monkeypatch):
         finally:
             inside.pop()
 
+    def recording_wf(*args):
+        run = original_wf(*args)
+        zero_candidates.append(not run.weights.all())
+        return run
+
     monkeypatch.setattr(RationalModel, "__init__", counted_init)
     monkeypatch.setattr(RationalModel, "__call__", counted_call)
     monkeypatch.setattr(nlaaa, "select_weights", marked_select)
+    monkeypatch.setattr(nlaaa, "wf_iterate", recording_wf)
     _, trace = nlaaa_fit(data, NlaaaConfig(max_degree=14, tol=0.0))
     steps = len(trace.records) - 1
-    assert steps == 14
-    assert evaluated == [(True, data.size)] * (2 * steps)
-    assert built == [True] * (2 * steps) + [False]
+    assert steps == 14 == len(zero_candidates)
+    assert any(zero_candidates)
+    models = steps + sum(zero_candidates)
+    assert evaluated == [(True, data.size)] * models
+    assert built == [True] * models + [False]
 
 
 def test_fallback_greedy_probabilistic_matches_residual_distribution():
