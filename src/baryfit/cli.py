@@ -138,8 +138,12 @@ def cmd_realize(args):
 def cmd_gradcheck(args):
     samples = load_samples(args.data)
     k = args.k
-    if not 1 <= k <= samples.size - 1:
-        raise ValueError("--k must be between 1 and M-1 = %d" % (samples.size - 1))
+    if not 2 <= k <= samples.size - 1:
+        raise ValueError(
+            "--k must be between 2 and M-1 = %d: with one support r is the "
+            "constant h_1, so the true-error and WF-step gradients vanish and "
+            "the check would compare rounding against rounding" % (samples.size - 1)
+        )
     rng = np.random.default_rng(args.seed)
     chosen = rng.choice(samples.size, size=k, replace=False)
     mask = np.ones(samples.size, dtype=bool)
@@ -253,7 +257,7 @@ def _build_parser():
 
     p = sub.add_parser("gradcheck", help="compare analytic gradients against finite differences")
     p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, required=True, help="number of random support points")
+    p.add_argument("--k", type=int, required=True, help="number of random support points, 2 to M-1")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 

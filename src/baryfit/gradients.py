@@ -6,13 +6,21 @@ so its stationary points are where the Wirtinger derivative dE/dw vanishes
 form sum_i c_i (P - diag(a) C)[i, :] over the LevySystem's Cauchy matrix C,
 with P = C diag(h), and `_gradient` computes it: the criteria differ only in
 a (H for Levy and SK, r(w) for the true error, r(w_prev) for the WF step)
-and in c (the conjugated residual times the row weighting). The step
-criteria for SK and WF take the reweighting denominators from a separate
-w_prev; at w = w_prev the WF step gradient reduces exactly to the gradient
-of the true nonlinear error, which is the identity that certifies WF fixed
-points as stationary points. Each function takes its system from
-``data.levy_system``, so the gradients and the many error evaluations of a
-finite-difference check on one sample set and support set share one
+and in c (the conjugated residual times the row weighting). The three
+linearized criteria share one form too, sum_i c_i |n_i(w) - a_i d_i(w) +
+b_i|^2 with the row weighting c (1 for Levy, 1/|d(w_prev)|^2 for SK and
+WF) and an offset b (nonzero for WF only), and their gradients are
+`_gradient` with c_i conj(n_i - a_i d_i + b_i). The step criteria for SK
+and WF take the reweighting denominators from a separate w_prev; at
+w = w_prev the WF step gradient reduces exactly to the gradient of the true
+nonlinear error, which is the identity that certifies WF fixed points as
+stationary points.
+
+Each ``error_*`` takes one weight vector, returning a float, or a (k, m)
+stack of weight columns, returning their m errors, so the finite-difference
+check makes one criterion call per gradient, not 4k. Each function takes
+its system from ``data.levy_system``, so the gradients and the error
+evaluations of a check on one sample set and support set share one
 assembly. These functions are diagnostic and test infrastructure; the
 fitting algorithms never consume them.
 """
@@ -55,30 +63,62 @@ def _gradient(system, a, c):
     return (system.shifted_numerator_matrix(a) * c[:, None]).sum(axis=0)
 
 
+def _products(system, W):
+    """(n, d) at the active samples, the sample index last: shape (M-k,)
+    each for one weight vector W, (m, M-k) for a (k, m) stack W of weight
+    columns, which takes one matrix product each."""
+    C = system.cauchy
+    return (C @ (system.interp_values * W.T).T).T, (C @ W).T
+
+
+def _per_column(total):
+    """A float for one weight vector, the array of m errors for a stack."""
+    return float(total) if np.ndim(total) == 0 else total
+
+
 def _rationals(system, w):
     """(r, d) at the active samples; d must not vanish."""
     d = _nonzero_denominators(system, w)
     return system.numerators(w) / d, d
 
 
-def _levy_residual(system, w):
-    """n - d H at the active samples."""
-    return system.numerators(w) - system.denominators(w) * system.data_values
+def _linearized_residual(system, W, a, b):
+    """n(w) - a d(w) + b at the active samples, shaped as `_products`."""
+    n, d = _products(system, W)
+    return n - a * d + b
 
 
-def _wf_residual(system, w, w_prev):
-    """(n - r_prev d + n_prev - d_prev H, r_prev, d_prev) of the WF step
-    linearized at w_prev."""
+def _levy_terms(system, w_prev=None):
+    """(a, b, c) of the Levy criterion sum_i c_i |n_i - a_i d_i + b_i|^2,
+    or of the SK step with its weighting c = 1/|d_prev|^2 frozen at w_prev."""
+    if w_prev is None:
+        return system.data_values, 0.0, 1.0
+    d_prev = _nonzero_denominators(system, w_prev)
+    return system.data_values, 0.0, 1.0 / np.abs(d_prev) ** 2
+
+
+def _wf_terms(system, w_prev):
+    """(a, b, c) of the WF step linearized at w_prev: r_prev, n_prev - d_prev H
+    and 1/|d_prev|^2."""
     d_prev = _nonzero_denominators(system, w_prev)
     n_prev = system.numerators(w_prev)
-    r_prev = n_prev / d_prev
-    resid = (
-        system.numerators(w)
-        - r_prev * system.denominators(w)
-        + n_prev
-        - d_prev * system.data_values
-    )
-    return resid, r_prev, d_prev
+    b = n_prev - d_prev * system.data_values
+    return n_prev / d_prev, b, 1.0 / np.abs(d_prev) ** 2
+
+
+def _linearized_gradient(system, w, terms):
+    """dE/dw of E = sum_i c_i |n_i(w) - a_i d_i(w) + b_i|^2:
+    sum_i c_i (p - a q) conj(n - a d + b)."""
+    a, b, c = terms
+    return _gradient(system, a, c * np.conj(_linearized_residual(system, w, a, b)))
+
+
+def _linearized_error(system, W, terms):
+    """sum_i c_i |n_i(w) - a_i d_i(w) + b_i|^2 for w = W or for each column of
+    a (k, m) stack W."""
+    a, b, c = terms
+    resid = _linearized_residual(system, W, a, b)
+    return _per_column(np.sum(c * np.abs(resid) ** 2, axis=-1))
 
 
 def grad_nonlinear(supports, interp_values, data, w):
@@ -93,7 +133,7 @@ def grad_levy(supports, interp_values, data, w):
     """dE/dw of the Levy criterion sum |n - d H|^2:
     sum_i (p - H q) conj(n - d H)."""
     system = data.levy_system(supports, interp_values)
-    return _gradient(system, system.data_values, np.conj(_levy_residual(system, w)))
+    return _linearized_gradient(system, w, _levy_terms(system))
 
 
 def grad_levy_rearranged(supports, interp_values, data, w):
@@ -109,9 +149,7 @@ def grad_sk_step(supports, interp_values, data, w, w_prev):
     """dE/dw of one SK step (weighting frozen at w_prev):
     sum_i (1/|d_prev|^2)(p - H q) conj(n - H d)."""
     system = data.levy_system(supports, interp_values)
-    d_prev = _nonzero_denominators(system, w_prev)
-    coeff = np.conj(_levy_residual(system, w)) / np.abs(d_prev) ** 2
-    return _gradient(system, system.data_values, coeff)
+    return _linearized_gradient(system, w, _levy_terms(system, w_prev))
 
 
 def grad_sk_fixed_point(supports, interp_values, data, w):
@@ -130,50 +168,57 @@ def grad_wf_step(supports, interp_values, data, w, w_prev):
     At w = w_prev this equals grad_nonlinear(w) up to rounding.
     """
     system = data.levy_system(supports, interp_values)
-    resid, r_prev, d_prev = _wf_residual(system, w, w_prev)
-    return _gradient(system, r_prev, np.conj(resid) / np.abs(d_prev) ** 2)
+    return _linearized_gradient(system, w, _wf_terms(system, w_prev))
 
 
 def error_nonlinear(supports, interp_values, data, w):
+    """sum |r(z_i; w) - H(z_i)|^2 over the active samples, inf where a pole
+    hits one, for w or for each column of a (k, m) stack w."""
     system = data.levy_system(supports, interp_values)
-    return system.residual_sq_sum(w)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        n, d = _products(system, w)
+        r = n / d
+    total = np.sum(np.abs(r - system.data_values) ** 2, axis=-1)
+    return _per_column(np.where(np.isnan(total), np.inf, total))
 
 
 def error_levy(supports, interp_values, data, w):
     system = data.levy_system(supports, interp_values)
-    return float(np.sum(np.abs(_levy_residual(system, w)) ** 2))
+    return _linearized_error(system, w, _levy_terms(system))
 
 
 def error_sk_step(supports, interp_values, data, w, w_prev):
     system = data.levy_system(supports, interp_values)
-    d_prev = _nonzero_denominators(system, w_prev)
-    res = _levy_residual(system, w)
-    return float(np.sum(np.abs(res) ** 2 / np.abs(d_prev) ** 2))
+    return _linearized_error(system, w, _levy_terms(system, w_prev))
 
 
 def error_wf_step(supports, interp_values, data, w, w_prev):
     system = data.levy_system(supports, interp_values)
-    resid, _, d_prev = _wf_residual(system, w, w_prev)
-    return float(np.sum(np.abs(resid) ** 2 / np.abs(d_prev) ** 2))
+    return _linearized_error(system, w, _wf_terms(system, w_prev))
 
 
 def finite_difference_gradient(error_fn, w):
-    """Central-difference Wirtinger gradient of a real scalar error.
+    """Central-difference Wirtinger gradient of a real error, from one call
+    of error_fn.
 
-    Differences the real and imaginary parts separately with step
-    h_j = _REL_STEP*(1 + |w_j|) and maps back through
+    error_fn maps a (k, m) array of weight columns to their m errors; it
+    gets the 4k columns w + h_j e_j, w - h_j e_j, w + i h_j e_j and
+    w - i h_j e_j (j = 0..k-1, in that order) with step
+    h_j = _REL_STEP*(1 + |w_j|). The real and imaginary parts are
+    differenced separately and mapped back through
     dE/dw_j = (dE/dx_j - i dE/dy_j)/2.
     """
     w = np.asarray(w, dtype=complex)
-    grad = np.empty(w.size, dtype=complex)
-    for j in range(w.size):
-        h = _REL_STEP * (1.0 + abs(w[j]))
-        step = np.zeros(w.size, dtype=complex)
-        step[j] = h
-        de_dx = (error_fn(w + step) - error_fn(w - step)) / (2.0 * h)
-        de_dy = (error_fn(w + 1j * step) - error_fn(w - 1j * step)) / (2.0 * h)
-        grad[j] = 0.5 * (de_dx - 1j * de_dy)
-    return grad
+    h = _REL_STEP * (1.0 + np.abs(w))
+    steps = np.diag(h).astype(complex)
+    base = w[:, None]
+    columns = np.hstack(
+        [base + steps, base - steps, base + 1j * steps, base - 1j * steps]
+    )
+    e = np.asarray(error_fn(columns), dtype=float).reshape(4, w.size)
+    de_dx = (e[0] - e[1]) / (2.0 * h)
+    de_dy = (e[2] - e[3]) / (2.0 * h)
+    return 0.5 * (de_dx - 1j * de_dy)
 
 
 def denominator_variation(supports, w, probe_points):

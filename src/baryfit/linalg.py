@@ -92,7 +92,7 @@ class LevySystem:
 
     def evaluate(self, w, out=None):
         """(n(z_i; w), d(z_i; w), residual_sq_sum(w, out)) from one product each."""
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             n, d = self.numerators(w), self.denominators(w)
             r = n / d
         res = np.abs(r - self.data_values, out=out)

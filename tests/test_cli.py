@@ -271,6 +271,8 @@ def test_gradcheck_validates_the_support_count(tmp_path):
     data = _sample_file(tmp_path, "abs", 9)
     assert cli.main(["gradcheck", "--data", str(data), "--k", "9"]) == 2
     assert cli.main(["gradcheck", "--data", str(data), "--k", "0"]) == 2
+    # one support: r is constant, so two comparisons set rounding against rounding
+    assert cli.main(["gradcheck", "--data", str(data), "--k", "1"]) == 2
 
 
 # ----------------------------------------------------------------- compare

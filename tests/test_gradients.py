@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from baryfit import SampleSet
+from baryfit import SampleSet, sample_builtin
 from baryfit.aaa import levy_weights
 from baryfit.core import NumericalError
 from baryfit.gradients import (
+    _REL_STEP,
     denominator_variation,
     error_levy,
     error_nonlinear,
@@ -23,7 +24,13 @@ from baryfit.gradients import (
     grad_wf_step,
 )
 from baryfit.linalg import assemble_levy_system
-from helpers import count_assemblies, nonzero_complex, random_instance, unit_grid
+from helpers import (
+    count_assemblies,
+    nonzero_complex,
+    random_instance,
+    transfer_samples,
+    unit_grid,
+)
 
 
 def _system_for(supports, interp, data):
@@ -258,8 +265,8 @@ def test_denominator_variation_rejects_probe_on_support():
 
 def test_finite_difference_gradient_on_known_quadratic():
     # E(w) = |w_0|^2 + 2|w_1|^2 has dE/dw = conj((w_0, 2 w_1))
-    def energy(w):
-        return float(abs(w[0]) ** 2 + 2.0 * abs(w[1]) ** 2)
+    def energy(W):
+        return np.abs(W[0]) ** 2 + 2.0 * np.abs(W[1]) ** 2
 
     w = np.array([1.0 + 2.0j, -0.5 + 0.25j])
     approx = finite_difference_gradient(energy, w)
@@ -326,3 +333,80 @@ def test_full_gradient_check_assembles_one_system(monkeypatch):
     assert _rel(grad_wf_step(supports, interp, data, w, w),
                 grad_nonlinear(supports, interp, data, w)) < 1e-12
     assert len(calls) == 1
+
+
+def _support_instance(data, idx):
+    """Supports at the sample indices idx, their values, and the rest of
+    the samples as the active set."""
+    mask = np.ones(data.size, dtype=bool)
+    mask[idx] = False
+    return data.points[idx], data.values[idx], SampleSet(data.points, data.values, mask)
+
+
+def _criteria(supports, interp, data, w_prev):
+    return {
+        "nonlinear": lambda v: error_nonlinear(supports, interp, data, v),
+        "levy": lambda v: error_levy(supports, interp, data, v),
+        "sk_step": lambda v: error_sk_step(supports, interp, data, v, w_prev),
+        "wf_step": lambda v: error_wf_step(supports, interp, data, v, w_prev),
+    }
+
+
+@pytest.mark.parametrize("source", ["real", "conjugate_pairs"])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_criteria_of_a_stack_are_the_criteria_of_its_columns(source, k):
+    # m == k is the square stack: there a product or weighting that
+    # broadcasts along the weight index instead of the sample index runs
+    # without error and gives wrong numbers
+    rng = np.random.default_rng(421 + k)
+    if source == "real":
+        data = sample_builtin("relu", 41)
+    else:
+        data = transfer_samples(rng, 3, 20)
+    supports, interp, work = _support_instance(
+        data, rng.choice(data.size, size=k, replace=False))
+    w_prev = nonzero_complex(rng, k)
+    for name, error_fn in _criteria(supports, interp, work, w_prev).items():
+        for m in (k, k + 3):
+            W = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+            got = error_fn(W)
+            assert got.shape == (m,), name
+            want = [error_fn(W[:, j]) for j in range(m)]
+            assert all(type(v) is float for v in want), name
+            assert_allclose(got, want, rtol=1e-12, err_msg=name)
+
+
+def test_nonlinear_error_of_a_stack_reads_inf_where_a_pole_hits():
+    rng = np.random.default_rng(431)
+    supports, interp, data = random_instance(rng, 3, 12)
+    w = nonzero_complex(rng, 3)
+    # w = 0 gives n = d = 0 at every sample, a nan sum
+    W = np.stack([w, np.zeros(3, dtype=complex)], axis=1)
+    got = error_nonlinear(supports, interp, data, W)
+    assert got[1] == np.inf
+    system = data.levy_system(supports, interp)
+    assert got[0] == pytest.approx(system.residual_sq_sum(w), rel=1e-12)
+    assert error_nonlinear(supports, interp, data, w) == system.residual_sq_sum(w)
+
+
+def test_finite_difference_gradient_makes_one_call_on_the_perturbed_columns():
+    rng = np.random.default_rng(433)
+    w = nonzero_complex(rng, 4)
+    calls = []
+
+    def recording(W):
+        calls.append(W.copy())
+        return np.sum(np.abs(W) ** 2, axis=0)
+
+    approx = finite_difference_gradient(recording, w)
+    assert len(calls) == 1
+    want = []
+    for perturb in (lambda s: w + s, lambda s: w - s,
+                    lambda s: w + 1j * s, lambda s: w - 1j * s):
+        for j in range(w.size):
+            step = np.zeros(w.size, dtype=complex)
+            step[j] = _REL_STEP * (1.0 + abs(w[j]))
+            want.append(perturb(step))
+    assert calls[0].shape == (4, 16)
+    assert np.stack(want, axis=1).tobytes() == calls[0].tobytes()
+    assert_allclose(approx, np.conj(w), rtol=1e-9)
