@@ -5,9 +5,9 @@ point, then picks unit-norm weights minimizing the linearized (Levy) error
 ``sum |n(z_i) - d(z_i) H(z_i)|^2`` over the remaining active samples via the
 smallest right singular vector. The loop itself, ``_greedy_fit``, is shared
 with NL-AAA, which swaps in its own index and weight choices. As in AAA
-(Nakatsukasa, Sete & Trefethen, SISC 2018), one evaluation of a step's
-weights gives its stopping error, its trace metrics and the mismatches the
-next step ranks.
+(Nakatsukasa, Sete & Trefethen, SISC 2018), one ``_full_residuals`` of a
+step's weights gives its stopping error, its trace metrics and the
+mismatches the next step ranks, so every row comes from its own weights.
 """
 
 import math
@@ -85,27 +85,31 @@ def levy_weights(system):
     return min_unit_norm_solution(levy_matrix(system))
 
 
-def _full_residuals(work, supports, interp_values, w, res):
-    """|r - H| at every sample of `work` for the step's rational r, given
-    its residuals `res` at the active samples (inf at a pole): zero at a
-    support of nonzero weight, which r interpolates exactly.
+def _full_residuals(system, work, w):
+    """(raw, res, full) of weights `w` on the step's system and work set:
+    the active squared error, the residuals |r - H| at the active samples
+    (nan mapped to inf, so a pole at a sample ranks first and the step's
+    metrics read inf) and those at every sample, zero at a support of
+    nonzero weight, which r interpolates exactly.
 
-    These equal the residuals of the model's own evaluation bit for bit as
-    long as the system's products sum as the model's do. Two cases, both
-    rare, sum in another order, and there the model itself is evaluated: a
-    zero weight, which drops out of the model but not of the system, and a
-    single active sample, whose product numpy takes as a dot. A pole at a
-    sample leaves an inf residual, so the step's metrics read inf.
+    `full` equals the residuals of the model's own evaluation bit for bit
+    as long as the system's products sum as the model's do. Two rare cases
+    sum in another order, and there the model itself is evaluated: a zero
+    weight, which drops out of the model but not of the system, and a
+    single active sample, whose product numpy takes as a dot.
     """
+    res = np.empty(work.active_count)
+    raw = system.residual_sq_sum(w, out=res)
+    res[np.isnan(res)] = np.inf
     full = np.zeros(work.size)
     full[work.active_mask] = res
     if not np.isfinite(res).all() or (work.active_count > 1 and w.all()):
-        return full
+        return raw, res, full
     try:
-        r = RationalModel.barycentric(supports, interp_values, w)(work.points)
+        r = RationalModel.barycentric(system.supports, system.interp_values, w)(work.points)
     except PoleAtPointError:  # at a support of zero weight
-        return np.full(work.size, np.inf)
-    return np.abs(work.values - r)
+        return raw, res, np.full(work.size, np.inf)
+    return raw, res, np.abs(work.values - r)
 
 
 def _greedy_fit(data, cfg, choose_index, choose_weights):
@@ -118,11 +122,11 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
     step that made r, None at the start), builds the step's LevySystem, and
     takes `(weights, branch) = choose_weights(w_prev, work, system)` for
     the previous weights w_prev; the first step's weight is 1. One
-    `system.residual_sq_sum` of the new weights gives the stopping error,
-    the next `res` and, through _full_residuals, trace metrics equal to
-    `metrics(model, work)` of the step's model bit for bit; apart from the
-    rare steps it names, the loop builds and evaluates no model. A
-    "fallback" step keeps the model's function, so its metrics carry over.
+    _full_residuals of the new weights, a fallback's zero-extended ones
+    too, gives the stopping error, the next `res` and trace metrics equal
+    to `metrics(model, work)` bit for bit, so nothing is carried between
+    steps; apart from the rare steps it names, the loop builds and
+    evaluates no model.
 
     The loop fits H / 2^e, with e chosen so that max|H| / 2^e lies in
     [1, 2). A power-of-two scale is exact and every kernel is homogeneous
@@ -147,23 +151,20 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
             break
         idx = choose_index(res, work, branch)
         picked.append(idx)
-        supports, interp_values = work.points[picked], work.values[picked]
         work = work.deactivate(idx)
-        system = work.levy_system(supports, interp_values)
+        system = work.levy_system(work.points[picked], work.values[picked])
         if k == 1:
             w, branch = np.ones(1, dtype=complex), "levy"
         else:
             w, branch = choose_weights(w, work, system)
-        res = np.empty(work.active_count)
+        raw, res, full = _full_residuals(system, work, w)
         try:
-            raw = math.ldexp(system.residual_sq_sum(w, out=res), 2 * e)
+            raw = math.ldexp(raw, 2 * e)
         except OverflowError:
             raw = math.inf
-        res[np.isnan(res)] = np.inf
-        if branch != "fallback":
-            m = residual_metrics(_full_residuals(work, supports, interp_values, w, res), work.values)
+        m = residual_metrics(full, work.values)
         trace.records.append(
-            TraceRecord(k, k - 1, complex(supports[-1]), raw, m.l2, m.linf, branch)
+            TraceRecord(k, k - 1, complex(system.supports[-1]), raw, m.l2, m.linf, branch)
         )
         if raw < cfg.tol:
             reached_tol = True

@@ -62,8 +62,10 @@ class SampleSet:
     A set remembers one LevySystem, the last one :meth:`levy_system` built,
     keyed on the exact bytes of its support and value arrays. The set never
     changes, so neither do its active samples, and equal keys give the same
-    system; a gradient check, which evaluates its criteria thousands of times
-    over one support set, assembles the Cauchy matrix once.
+    system. A gradient check asks for its system 8 times per ``baryfit
+    gradcheck`` and 14 per perfbench instance; an assembly costs 30-90 us at
+    194-994 x 6 against 1 us for a hit (Intel Xeon, 2 cores), so the
+    perfbench check on ``mor`` takes 1.2-1.65x as long without the cache.
 
     Args:
         points: complex sample locations z_i, pairwise distinct.

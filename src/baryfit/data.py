@@ -10,6 +10,7 @@ trip is bit-exact.
 import csv
 import json
 import math
+import operator
 import os
 from typing import NamedTuple
 
@@ -103,7 +104,10 @@ def sample_builtin(name, count):
             "unknown function %r; choose one of %s"
             % (name, ", ".join(sorted(BUILTIN_FUNCTIONS)))
         )
-    count = int(count)
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise ValueError("count must be an integer") from None
     if count < 2:
         raise ValueError("count must be at least 2")
     half = (count + 1) // 2

@@ -17,7 +17,8 @@ nonlinear error, which is the identity that certifies WF fixed points as
 stationary points.
 
 Each ``error_*`` takes one weight vector, returning a float, or a (k, m)
-stack of weight columns, returning their m errors, so the finite-difference
+stack of weight columns, returning their m errors from the stack-shaped
+``LevySystem.numerators`` and ``denominators``, so the finite-difference
 check makes one criterion call per gradient, not 4k. Each function takes
 its system from ``data.levy_system``, so the gradients and the error
 evaluations of a check on one sample set and support set share one
@@ -63,14 +64,6 @@ def _gradient(system, a, c):
     return (system.shifted_numerator_matrix(a) * c[:, None]).sum(axis=0)
 
 
-def _products(system, W):
-    """(n, d) at the active samples, the sample index last: shape (M-k,)
-    each for one weight vector W, (m, M-k) for a (k, m) stack W of weight
-    columns, which takes one matrix product each."""
-    C = system.cauchy
-    return (C @ (system.interp_values * W.T).T).T, (C @ W).T
-
-
 def _per_column(total):
     """A float for one weight vector, the array of m errors for a stack."""
     return float(total) if np.ndim(total) == 0 else total
@@ -83,9 +76,8 @@ def _rationals(system, w):
 
 
 def _linearized_residual(system, W, a, b):
-    """n(w) - a d(w) + b at the active samples, shaped as `_products`."""
-    n, d = _products(system, W)
-    return n - a * d + b
+    """n(w) - a d(w) + b at the active samples."""
+    return system.numerators(W) - a * system.denominators(W) + b
 
 
 def _levy_terms(system, w_prev=None):
@@ -176,8 +168,7 @@ def error_nonlinear(supports, interp_values, data, w):
     hits one, for w or for each column of a (k, m) stack w."""
     system = data.levy_system(supports, interp_values)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        n, d = _products(system, w)
-        r = n / d
+        r = system.numerators(w) / system.denominators(w)
     total = np.sum(np.abs(r - system.data_values) ** 2, axis=-1)
     return _per_column(np.where(np.isnan(total), np.inf, total))
 

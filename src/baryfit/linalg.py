@@ -7,8 +7,8 @@ WF iteration. Problem sizes are desk scale, so dense LAPACK kernels are the
 right tool. The fits build one :class:`LevySystem` per greedy step, and one
 :meth:`LevySystem.residual_sq_sum` of the step's weights gives both the
 active error and the residuals |r - H| that the next greedy selection
-ranks. Tall homogeneous solves decompose their R factor, bitwise as zgesdd
-itself would.
+ranks; its products also take (k, m) stacks of weights. Tall homogeneous
+solves decompose their R factor, bitwise as zgesdd itself would.
 """
 
 from dataclasses import dataclass
@@ -74,12 +74,14 @@ class LevySystem:
         F -= a[:, None] * self.cauchy
         return F
 
-    def numerators(self, w):
-        """n(z_i; w) = sum_j w_j h_j/(z_i - lambda_j), without forming P."""
-        return self.cauchy @ (self.interp_values * w)
+    def numerators(self, W):
+        """n(z_i; w) = sum_j w_j h_j/(z_i - lambda_j), without forming P, for
+        one weight vector W or, shaped (m, M-k), a (k, m) stack of columns."""
+        return (self.cauchy @ (self.interp_values * W.T).T).T
 
-    def denominators(self, w):
-        return self.cauchy @ w
+    def denominators(self, W):
+        """d(z_i; w) = sum_j w_j/(z_i - lambda_j), shaped as numerators(W)."""
+        return (self.cauchy @ W).T
 
     def residual_sq_sum(self, w, out=None):
         """Raw active squared error sum |r(z_i; w) - H(z_i)|^2 (inf if a pole hits).

@@ -8,9 +8,9 @@ previous model (zero weight on the new support) whenever nothing beats it
 on the full data set. A zero weight drops out of model evaluation, so the
 zero-extended previous weights evaluate bit for bit as the previous model
 and are the one reference of that test, which scores both weight vectors
-by the full-data residuals the loop takes every step's trace metrics
-from, as for AAA. The fallback makes the reported full-data error provably
-non-increasing; the step after a fallback ranks the loop's active
+by ``aaa._full_residuals``, the route every trace row, a fallback's too,
+takes its metrics by. The fallback makes the reported full-data error
+provably non-increasing; the step after a fallback ranks the loop's active
 residuals |r - H| with a probabilistic or relative-error variant of the
 greedy selection, so the same support choice cannot stall the iteration
 twice.
@@ -54,13 +54,10 @@ def full_squared_error(system, weights, data):
     """Squared error over all samples of `data`, the step's work set, whose
     interpolated samples are the system's supports (a zero-weight support
     contributes its true residual); inf at a pole on the grid or where h*w
-    overflows. It sums the squares of ``aaa._full_residuals``, the residuals
-    the loop's trace metrics come from; only NL-AAA's acceptance test uses it.
+    overflows: the sum of squares of ``aaa._full_residuals``' full
+    residuals, the trace metrics' own; only NL-AAA's acceptance uses it.
     """
-    res = np.empty(data.active_count)
-    system.residual_sq_sum(weights, out=res)
-    full = _full_residuals(data, system.supports, system.interp_values, weights, res)
-    total = float(np.sum(full ** 2))
+    total = float(np.sum(_full_residuals(system, data, weights)[2] ** 2))
     return np.inf if np.isnan(total) else total
 
 

@@ -77,6 +77,10 @@ def test_sampler_input_validation():
         sample_builtin("abs", 1)
     with pytest.raises(ValueError, match="unknown function"):
         sample_builtin("sinc", 16)
+    for count in (10.7, "12"):
+        with pytest.raises(ValueError, match="integer"):
+            sample_builtin("abs", count)
+    assert sample_builtin("abs", np.int64(12)).size == 12
 
 
 # ----------------------------------------------------------------- metrics

@@ -159,6 +159,30 @@ def test_levy_system_numerators_match_the_numerator_matrix():
     assert np.all(np.abs(system.numerators(w) - expected) <= bound)
 
 
+@pytest.mark.parametrize("k, m", [(1, 1), (1, 3), (4, 2), (4, 4), (6, 9)])
+def test_levy_system_products_of_a_weight_stack_match_its_columns(k, m):
+    """A (k, m) stack of weight columns gives (m, M-k) products, row j that
+    of column j up to summation order; the square stack m = k catches h
+    scaling the wrong axis of the stack, which broadcasts without error.
+    One vector takes the plain matrix-vector products, byte for byte."""
+    rng = np.random.default_rng(40 + 10 * k + m)
+    supports, interp_values, data = random_instance(rng, k, 12)
+    system = assemble_levy_system(data.points, data.values, supports, interp_values)
+    W = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+    n, d = system.numerators(W), system.denominators(W)
+    assert n.shape == d.shape == (m, 12)
+    eps = np.finfo(float).eps
+    absC = np.abs(system.cauchy)
+    for j in range(m):
+        w = W[:, j].copy()
+        n_j, d_j = system.numerators(w), system.denominators(w)
+        assert n_j.tobytes() == (system.cauchy @ (interp_values * w)).tobytes()
+        assert d_j.tobytes() == (system.cauchy @ w).tobytes()
+        # both sum the same k products, possibly in another order
+        assert np.all(np.abs(n[j] - n_j) <= 2 * k * eps * (absC @ np.abs(interp_values * w)))
+        assert np.all(np.abs(d[j] - d_j) <= 2 * k * eps * (absC @ np.abs(w)))
+
+
 def test_min_unit_norm_empty_rows_returns_unit_vector():
     v = min_unit_norm_solution(np.zeros((0, 3)))
     assert abs(np.linalg.norm(v) - 1.0) < 1e-15

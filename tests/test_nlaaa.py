@@ -239,11 +239,12 @@ def _recording_select(monkeypatch):
 
 @pytest.mark.parametrize("case", ["rational", "imaginary_axis", "builtin", "zero_weight"])
 def test_every_nlaaa_row_equals_the_metrics_of_its_model(monkeypatch, case):
-    """Each row's l2/linf equal metrics(model_k, data) bit for bit: a step
-    other than a fallback takes them from its active residuals, as AAA does,
-    a fallback keeps the previous row's, and the zero extension evaluates as
-    the previous model. The zero_weight fit accepts candidates with an exact
-    zero weight, the steps whose metrics come from evaluating the model."""
+    """Each row's l2/linf equal metrics(model_k, data) bit for bit, under
+    both fallback modes: every row takes them from its own weights, from
+    its active residuals as AAA does, and a fallback's zero extension
+    evaluates as the previous model. The zero_weight fit in probabilistic
+    mode accepts candidates with an exact zero weight, the steps whose
+    metrics come from evaluating the model; the builtin fit falls back."""
     rng = np.random.default_rng(17)
     data, degree = {
         "rational": lambda: (rational_samples(rng, 6, 201), 10),
@@ -252,23 +253,29 @@ def test_every_nlaaa_row_equals_the_metrics_of_its_model(monkeypatch, case):
         "zero_weight": lambda: (sample_builtin("relu", 201), 40),
     }[case]()
     weights, branches = _recording_select(monkeypatch)
-    _, trace = nlaaa_fit(data, NlaaaConfig(max_degree=degree, tol=0.0))
-    assert len(weights) == len(trace.records)
-    assert "wf-from-sk" in branches or "wf-from-prev" in branches
-    zero_weight_accepted = any(
-        b != "fallback" and not w.all() for w, b in zip(weights[1:], branches))
-    assert zero_weight_accepted == (case == "zero_weight")
-    got = [(rec.l2_norm, rec.linf_norm) for rec in trace.records]
-    assert got == trace_metrics_replay(data, trace, weights)
+    for mode in ("probabilistic", "relative"):
+        del weights[1:], branches[:]
+        _, trace = nlaaa_fit(
+            data, NlaaaConfig(max_degree=degree, tol=0.0, fallback_mode=mode))
+        assert len(weights) == len(trace.records)
+        assert "wf-from-sk" in branches or "wf-from-prev" in branches
+        if case == "builtin":
+            assert "fallback" in branches
+        zero_weight_accepted = any(
+            b != "fallback" and not w.all() for w, b in zip(weights[1:], branches))
+        assert zero_weight_accepted == (case == "zero_weight" and mode == "probabilistic")
+        got = [(rec.l2_norm, rec.linf_norm) for rec in trace.records]
+        assert got == trace_metrics_replay(data, trace, weights)
 
 
 def test_each_nlaaa_step_evaluates_its_reference_and_zero_weight_candidates(monkeypatch):
     """select_weights builds and evaluates one model at every sample, its
     zero-extended reference, plus one for a candidate with an exact zero
-    weight; any other candidate is scored on the step's system. This fit
-    accepts no candidate with a zero weight, so the loop, which takes every
-    step's metrics from its active residuals, evaluates nothing and builds
-    only the model it returns."""
+    weight; any other candidate is scored on the step's system. The loop
+    takes every row's metrics from its own weights, so it evaluates one
+    model per fallback step, whose weights end in a zero, and otherwise
+    builds only the model it returns: this fit accepts no candidate with a
+    zero weight, and 4 of its 14 steps fall back."""
     data = sample_builtin("relu", 501)
     built, evaluated = [], []
     inside = []
@@ -301,12 +308,14 @@ def test_each_nlaaa_step_evaluates_its_reference_and_zero_weight_candidates(monk
     monkeypatch.setattr(nlaaa, "select_weights", marked_select)
     monkeypatch.setattr(nlaaa, "wf_iterate", recording_wf)
     _, trace = nlaaa_fit(data, NlaaaConfig(max_degree=14, tol=0.0))
-    steps = len(trace.records) - 1
-    assert steps == 14 == len(zero_candidates)
-    assert any(zero_candidates)
-    models = steps + sum(zero_candidates)
-    assert evaluated == [(True, data.size)] * models
-    assert built == [True] * models + [False]
+    fallbacks = [rec.branch == "fallback" for rec in trace.records[1:]]
+    assert len(fallbacks) == 14 == len(zero_candidates)
+    assert any(zero_candidates) and sum(fallbacks) == 4
+    per_step = [[True] * (1 + zero) + [False] * fallback
+                for zero, fallback in zip(zero_candidates, fallbacks)]
+    inside_flags = [flag for step in per_step for flag in step]
+    assert evaluated == [(flag, data.size) for flag in inside_flags]
+    assert built == inside_flags + [False]
 
 
 def test_fallback_greedy_probabilistic_matches_residual_distribution():
