@@ -11,12 +11,11 @@ mismatches the next step ranks, so every row comes from its own weights.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PoleAtPointError, RationalModel, SampleSet
+from .core import PoleAtPointError, RationalModel, SampleSet, _check_integer
 from .data import residual_metrics
 from .linalg import levy_matrix, min_unit_norm_solution
 
@@ -39,11 +38,7 @@ class FitConfig:
     tol: float = 1e-12
 
     def __post_init__(self):
-        try:
-            if operator.index(self.max_degree) < 0:
-                raise ValueError("max_degree must be >= 0")
-        except TypeError:
-            raise ValueError("max_degree must be an integer") from None
+        _check_integer(self.max_degree, "max_degree", 0)
         if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
 
@@ -134,8 +129,10 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
     underflows whatever the scale of H. The stopping error is reported and
     tested in data units (inf where it exceeds the double range), and the
     returned model, built once at the end, takes its support values from
-    `data`.
+    `data`. Fewer than two samples raise ValueError.
     """
+    if data.size < 2:
+        raise ValueError("a fit needs at least two samples, got %d" % data.size)
     e = math.frexp(np.abs(data.values).max())[1] - 1
     # ldexp on the (re, im) float pairs that make up each complex value
     work = SampleSet(data.points, np.ldexp(data.values.view(float), -e).view(complex))
@@ -181,8 +178,6 @@ def aaa_fit(data, cfg):
     `budget_exhausted` is set when the tolerance was not reached before the
     degree budget (or the data) ran out.
     """
-    if data.size < 2:
-        raise ValueError("AAA needs at least two samples")
     return _greedy_fit(
         data,
         cfg,

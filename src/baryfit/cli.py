@@ -28,6 +28,7 @@ from .data import (
     save_realization,
     save_samples,
     save_trace,
+    write_complex_rows,
 )
 from .gradients import (
     error_levy,
@@ -108,9 +109,7 @@ def cmd_fit(args):
 def cmd_eval(args):
     model = load_model(args.model)
     points = read_complex_rows(args.points, [SAMPLE_HEADER[:2], SAMPLE_HEADER])[0][:, 0]
-    values = np.atleast_1d(model(points))
-    for v in values:
-        print("%s,%s" % (_fmt(v.real), _fmt(v.imag)))
+    write_complex_rows(sys.stdout, np.atleast_1d(model(points))[:, None])
     return 0
 
 
@@ -194,16 +193,14 @@ def cmd_compare(args):
     save_trace(os.path.join(args.out, "nlaaa_trace.csv"), nlaaa_trace)
     a_recs = aaa_trace.records
     n_recs = nlaaa_trace.records
+    table = []
+    for i in range(max(len(a_recs), len(n_recs))):
+        ra = a_recs[min(i, len(a_recs) - 1)]  # shorter run: final model persists
+        rn = n_recs[min(i, len(n_recs) - 1)]
+        table.append((i + 1, ra.l2_norm, rn.l2_norm, ra.linf_norm, rn.linf_norm))
     with open(os.path.join(args.out, "compare.csv"), "w", newline="") as f:
-        f.write("k,aaa_l2,nlaaa_l2,aaa_linf,nlaaa_linf\n")
-        for i in range(max(len(a_recs), len(n_recs))):
-            ra = a_recs[min(i, len(a_recs) - 1)]  # shorter run: final model persists
-            rn = n_recs[min(i, len(n_recs) - 1)]
-            f.write(
-                "%d,%s,%s,%s,%s\n"
-                % (i + 1, _fmt(ra.l2_norm), _fmt(rn.l2_norm),
-                   _fmt(ra.linf_norm), _fmt(rn.linf_norm))
-            )
+        np.savetxt(f, table, fmt=["%d"] + ["%.17g"] * 4, delimiter=",",
+                   header="k,aaa_l2,nlaaa_l2,aaa_linf,nlaaa_linf", comments="")
     log.info(
         "compare finished: aaa l2=%.3e, nlaaa l2=%.3e over %d samples",
         a_recs[-1].l2_norm, n_recs[-1].l2_norm, samples.size,

@@ -10,6 +10,7 @@ The degree-0 variant is a plain constant. Sample data lives in immutable
 """
 
 import copy
+import operator
 
 import numpy as np
 
@@ -43,6 +44,17 @@ def _as_complex_vector(x, name):
         raise ValueError("%s contains non-finite entries" % name)
     arr.flags.writeable = False
     return arr
+
+
+def _check_integer(value, name, minimum):
+    """`value` as an int; ValueError unless it is an integer >= minimum."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (name, value)) from None
+    if value < minimum:
+        raise ValueError("%s must be >= %d, got %d" % (name, minimum, value))
+    return value
 
 
 def _check_distinct(points, name):

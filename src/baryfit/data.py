@@ -10,13 +10,12 @@ trip is bit-exact.
 import csv
 import json
 import math
-import operator
 import os
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import NumericalError, RationalModel, SampleSet
+from .core import NumericalError, RationalModel, SampleSet, _check_integer
 
 __all__ = [
     "MetricPair",
@@ -104,12 +103,7 @@ def sample_builtin(name, count):
             "unknown function %r; choose one of %s"
             % (name, ", ".join(sorted(BUILTIN_FUNCTIONS)))
         )
-    try:
-        count = operator.index(count)
-    except TypeError:
-        raise ValueError("count must be an integer") from None
-    if count < 2:
-        raise ValueError("count must be at least 2")
+    count = _check_integer(count, "count", 2)
     half = (count + 1) // 2
     left = -1.0 + 2.0 * np.arange(half) / (count - 1)
     x = np.empty(count)
@@ -120,13 +114,20 @@ def sample_builtin(name, count):
     return SampleSet(x, BUILTIN_FUNCTIONS[name](x))
 
 
+def write_complex_rows(f, rows, header=""):
+    """Write a 2-d complex array to the open text file `f` as CSV lines of
+    re,im column pairs, 17 significant digits each, under `header` (no
+    header line when empty); `read_complex_rows` reads them back bit for bit.
+    """
+    # (re, im) float pairs are the memory layout of complex128
+    rows = np.ascontiguousarray(rows, dtype=complex).view(float)
+    np.savetxt(f, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
 def save_samples(path, data):
     with open(path, "w", newline="") as f:
-        f.write(",".join(SAMPLE_HEADER) + "\n")
-        for z, H in zip(data.points, data.values):
-            f.write(
-                "%s,%s,%s,%s\n" % (_fmt(z.real), _fmt(z.imag), _fmt(H.real), _fmt(H.imag))
-            )
+        rows = np.column_stack([data.points, data.values])
+        write_complex_rows(f, rows, ",".join(SAMPLE_HEADER))
 
 
 def read_complex_rows(path, headers):
@@ -250,18 +251,12 @@ def load_model(path):
     raise ValueError("unknown model kind %r" % kind)
 
 
-def _write_complex_matrix(path, mat):
-    mat = np.atleast_2d(np.asarray(mat, dtype=complex))
-    with open(path, "w", newline="") as f:
-        f.write(",".join("re_%d,im_%d" % (j + 1, j + 1) for j in range(mat.shape[1])) + "\n")
-        for row in mat:
-            f.write(",".join("%s,%s" % (_fmt(v.real), _fmt(v.imag)) for v in row) + "\n")
-
-
 def save_realization(directory, realization):
-    """Write E.csv, A.csv, b.csv and c.csv (re,im interleaved columns)."""
+    """Write E.csv, A.csv, b.csv and c.csv (re,im interleaved columns under
+    the header re_1,im_1,re_2,im_2,...; b and c are single columns)."""
     os.makedirs(directory, exist_ok=True)
-    _write_complex_matrix(os.path.join(directory, "E.csv"), realization.E)
-    _write_complex_matrix(os.path.join(directory, "A.csv"), realization.A)
-    _write_complex_matrix(os.path.join(directory, "b.csv"), realization.b[:, None])
-    _write_complex_matrix(os.path.join(directory, "c.csv"), realization.c[:, None])
+    r = realization
+    for name, mat in (("E", r.E), ("A", r.A), ("b", r.b[:, None]), ("c", r.c[:, None])):
+        header = ",".join("re_%d,im_%d" % (j, j) for j in range(1, mat.shape[1] + 1))
+        with open(os.path.join(directory, name + ".csv"), "w", newline="") as f:
+            write_complex_rows(f, mat, header)

@@ -28,8 +28,8 @@ fitting algorithms never consume them.
 
 import numpy as np
 
-from .core import NumericalError
 from .linalg import build_cauchy
+from .refine import nonzero_denominators
 
 __all__ = [
     "grad_nonlinear",
@@ -49,16 +49,6 @@ __all__ = [
 _REL_STEP = 1e-6  # relative step of finite_difference_gradient
 
 
-def _nonzero_denominators(system, w):
-    d = system.denominators(w)
-    bad = np.nonzero(d == 0)[0]
-    if bad.size:
-        raise NumericalError(
-            "denominator vanishes at sample z = %s" % system.active_points[bad[0]]
-        )
-    return d
-
-
 def _gradient(system, a, c):
     """sum_i c_i (P - diag(a) C)[i, :], the form of every gradient here."""
     return (system.shifted_numerator_matrix(a) * c[:, None]).sum(axis=0)
@@ -71,7 +61,7 @@ def _per_column(total):
 
 def _rationals(system, w):
     """(r, d) at the active samples; d must not vanish."""
-    d = _nonzero_denominators(system, w)
+    d = nonzero_denominators(system, w)
     return system.numerators(w) / d, d
 
 
@@ -85,14 +75,14 @@ def _levy_terms(system, w_prev=None):
     or of the SK step with its weighting c = 1/|d_prev|^2 frozen at w_prev."""
     if w_prev is None:
         return system.data_values, 0.0, 1.0
-    d_prev = _nonzero_denominators(system, w_prev)
+    d_prev = nonzero_denominators(system, w_prev)
     return system.data_values, 0.0, 1.0 / np.abs(d_prev) ** 2
 
 
 def _wf_terms(system, w_prev):
     """(a, b, c) of the WF step linearized at w_prev: r_prev, n_prev - d_prev H
     and 1/|d_prev|^2."""
-    d_prev = _nonzero_denominators(system, w_prev)
+    d_prev = nonzero_denominators(system, w_prev)
     n_prev = system.numerators(w_prev)
     b = n_prev - d_prev * system.data_values
     return n_prev / d_prev, b, 1.0 / np.abs(d_prev) ** 2

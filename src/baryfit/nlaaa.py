@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aaa import FitConfig, _full_residuals, _greedy_fit, greedy_select
-from .core import NumericalError
+from .core import NumericalError, _check_integer
 from .refine import RefineConfig, sk_iterate, wf_iterate, wf_step
 
 __all__ = [
@@ -36,7 +36,11 @@ FALLBACK_MODES = ("probabilistic", "relative")
 
 @dataclass(frozen=True)
 class NlaaaConfig(FitConfig):
-    """The stopping controls of AAA plus the refinement and fallback settings."""
+    """The stopping controls of AAA plus the refinement and fallback settings.
+
+    `rng_seed`, a non-negative integer, seeds the draws of the probabilistic
+    fallback selection, so a fit is reproducible from its inputs and seed.
+    """
 
     refine: RefineConfig = field(default_factory=RefineConfig)
     fallback_mode: str = "probabilistic"
@@ -44,6 +48,7 @@ class NlaaaConfig(FitConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        _check_integer(self.rng_seed, "rng_seed", 0)
         if self.fallback_mode not in FALLBACK_MODES:
             raise ValueError(
                 "fallback_mode must be one of %s" % (FALLBACK_MODES,)
@@ -135,8 +140,6 @@ def nlaaa_fit(data, cfg):
     between steps: each step compares against its zero-extended previous
     weights.
     """
-    if data.size < 2:
-        raise ValueError("NL-AAA needs at least two samples")
     rng = np.random.default_rng(cfg.rng_seed)
 
     def choose_index(res, work, branch):

@@ -10,12 +10,11 @@ Each iterate's error and the next step share one evaluation of n and d.
 A WF run has one entry point, :func:`wf_iterate`.
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalError
+from .core import NumericalError, _check_integer
 from .linalg import (
     denominator_weighting,
     levy_matrix,
@@ -39,11 +38,7 @@ class RefineConfig:
     tol_wf: float = 1e-8
 
     def __post_init__(self):
-        try:
-            if operator.index(self.p_max) < 1:
-                raise ValueError("p_max must be >= 1")
-        except TypeError:
-            raise ValueError("p_max must be an integer") from None
+        _check_integer(self.p_max, "p_max", 1)
         if not (self.tol_sk >= 0 and self.tol_wf >= 0):
             raise ValueError("tolerances must be >= 0")
 
@@ -107,6 +102,18 @@ def _choose_pivot(w0):
     return 0
 
 
+def nonzero_denominators(system, w):
+    """d(z_i; w) at the system's samples; NumericalError naming the first
+    sample where it vanishes exactly, which nothing can be divided by."""
+    d = system.denominators(w)
+    zero = np.nonzero(d == 0)[0]
+    if zero.size:
+        raise NumericalError(
+            "denominator vanishes at sample z = %s" % system.active_points[zero[0]]
+        )
+    return d
+
+
 def wf_step(system, w_prev):
     """One linearized least-squares step from w_prev, one weight pinned to 1.
 
@@ -114,18 +121,13 @@ def wf_step(system, w_prev):
     r(z_i; w_prev)/(z_i - lambda_j), the right-hand side is
     -n(z_i; w_prev) + d(z_i; w_prev) H(z_i), and rows are weighted by
     1/|d(z_i; w_prev)|. The pinned weight is entry 0, or the largest entry
-    of w_prev when entry 0 is negligible.
+    of w_prev when entry 0 is negligible. Where d(z_i; w_prev) vanishes
+    there is no step: `nonzero_denominators` raises NumericalError.
     """
     w_prev = np.asarray(w_prev, dtype=complex)
     pivot = _choose_pivot(w_prev)
-    n_prev, d_prev = system.numerators(w_prev), system.denominators(w_prev)
-    exact_zero = np.nonzero(d_prev == 0)[0]
-    if exact_zero.size:
-        raise NumericalError(
-            "denominator of the current weights vanishes at sample z = %s"
-            % system.active_points[exact_zero[0]]
-        )
-    return _linearized_step(system, n_prev, d_prev, pivot)
+    d_prev = nonzero_denominators(system, w_prev)
+    return _linearized_step(system, system.numerators(w_prev), d_prev, pivot)
 
 
 def _linearized_step(system, n_prev, d_prev, pivot):

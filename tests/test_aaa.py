@@ -111,7 +111,8 @@ def test_fit_config_validation():
 
 
 def test_aaa_needs_two_samples():
-    with pytest.raises(ValueError):
+    # the one check, in the loop both fits share
+    with pytest.raises(ValueError, match="a fit needs at least two samples"):
         aaa_fit(SampleSet([0.0], [1.0]), FitConfig(max_degree=2))
 
 

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from baryfit import FitConfig, NlaaaConfig, RationalModel, cli, save_model
-from baryfit.data import SAMPLE_HEADER, load_model, load_samples, save_samples
+from baryfit import FitConfig, NlaaaConfig, RationalModel, cli, realize, save_model
+from baryfit.core import SampleSet
+from baryfit.data import (
+    SAMPLE_HEADER,
+    load_model,
+    load_samples,
+    read_complex_rows,
+    save_realization,
+    save_samples,
+)
 from baryfit.refine import RefineConfig
 from helpers import rational_samples
 
@@ -75,6 +83,14 @@ def test_fit_rejects_refinement_flags_for_plain_aaa(tmp_path, capsys):
                      "--max-degree", "4", "--pmax", "5"])
     assert code == 2
     capsys.readouterr()
+
+
+def test_fit_rejects_a_negative_seed(tmp_path, caplog):
+    data = _sample_file(tmp_path, "relu", 11)
+    code = cli.main(["fit", "--algo", "nlaaa", "--data", str(data),
+                     "--max-degree", "4", "--seed", "-1"])
+    assert code == 2
+    assert "rng_seed must be >= 0" in caplog.text
 
 
 def _capture_configs(monkeypatch, name):
@@ -301,6 +317,65 @@ def test_compare_rejects_unloadable_data(tmp_path):
     outdir = tmp_path / "cmp"
     assert cli.main(["compare", "--data", str(empty), "--max-degree", "5",
                      "--out", str(outdir)]) == 2
+
+
+# ------------------------------------------------------------- CSV format
+
+
+def _pairs_text(row):
+    """A CSV line of re,im pairs in the 17-digit text of the package's
+    earlier hand-written row writers."""
+    return ",".join("%s,%s" % ("%.17g" % v.real, "%.17g" % v.imag) for v in row)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=complex).view(np.uint64)
+
+
+def test_complex_csvs_keep_their_17_digit_text_and_read_back_bit_for_bit(tmp_path, capsys):
+    # signed zeros, the smallest subnormal, the largest double and negative
+    # imaginary parts; supports 1e10 apart and weights 2^-60 on the huge
+    # values keep every product of the model's evaluation finite
+    values = np.array([complex(-0.0, -0.0), complex(5e-324, -5e-324),
+                       complex(1.7976931348623157e308, -1.5),
+                       complex(-2.5, -1.7976931348623157e308), complex(0.1, -0.0)])
+    supports = np.array([complex(-0.0, 0.0), complex(5e-324, -1e10), 1e10,
+                         complex(-1e10, 1e10), complex(2e10, -0.0)])
+    weights = np.array([complex(-0.0, -3.0), 2.0 - 1.0j, 2.0**-60, 2.0**-60, -1.0])
+    model = RationalModel.barycentric(supports, values, weights)
+
+    samples = tmp_path / "samples.csv"
+    save_samples(samples, SampleSet(supports, values))
+    lines = samples.read_text().splitlines()
+    assert lines == [",".join(SAMPLE_HEADER)] + [_pairs_text(r) for r in zip(supports, values)]
+    back = load_samples(samples)
+    assert np.array_equal(_bits(back.points), _bits(supports))
+    assert np.array_equal(_bits(back.values), _bits(values))
+
+    rom = realize(model)
+    save_realization(tmp_path / "rom", rom)
+    for name, mat in (("E", rom.E), ("A", rom.A), ("b", rom.b[:, None]), ("c", rom.c[:, None])):
+        path = tmp_path / "rom" / (name + ".csv")
+        header = ["%s_%d" % (part, j) for j in range(1, mat.shape[1] + 1) for part in ("re", "im")]
+        assert path.read_text().splitlines() == [",".join(header)] + [_pairs_text(r) for r in mat]
+        assert np.array_equal(_bits(read_complex_rows(path, [header])[0]), _bits(mat))
+
+    model_path = tmp_path / "model.json"
+    save_model(model_path, model)
+    assert cli.main(["eval", "--model", str(model_path), "--points", str(samples)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [_pairs_text([v]) for v in values]  # r interpolates at its supports
+    got = np.array([complex(*map(float, line.split(","))) for line in lines])
+    assert np.array_equal(_bits(got), _bits(values))
+
+    data = _sample_file(tmp_path, "abs", 41)
+    assert cli.main(["compare", "--data", str(data), "--max-degree", "6",
+                     "--out", str(tmp_path / "cmp")]) == 0
+    lines = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
+    assert lines[0] == "k,aaa_l2,nlaaa_l2,aaa_linf,nlaaa_linf"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == [str(k) for k in range(1, len(rows) + 1)]
+    assert all(v == "%.17g" % float(v) for row in rows for v in row[1:])
 
 
 # ----------------------------------------------------------------- logging

@@ -37,6 +37,11 @@ def test_config_validation():
         NlaaaConfig(max_degree=3, fallback_mode="greedy")
     with pytest.raises(ValueError):
         NlaaaConfig(max_degree=3, tol=-0.5)
+    # the fallback draws are reproducible only under a non-negative integer seed
+    for seed in (None, -1, 1.5, "3"):
+        with pytest.raises(ValueError, match="rng_seed"):
+            NlaaaConfig(max_degree=3, rng_seed=seed)
+    assert NlaaaConfig(max_degree=3, rng_seed=np.int64(3)).rng_seed == 3
 
 
 def test_full_squared_error_counts_zero_weight_supports():
@@ -380,7 +385,8 @@ def test_fallback_greedy_needs_active_samples():
 
 
 def test_nlaaa_needs_two_samples():
-    with pytest.raises(ValueError):
+    # the one check, in the loop both fits share
+    with pytest.raises(ValueError, match="a fit needs at least two samples"):
         nlaaa_fit(SampleSet([0.0], [1.0]), NlaaaConfig(max_degree=2))
 
 

@@ -7,10 +7,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from baryfit import FitConfig, NlaaaConfig, SampleSet, aaa_fit, sample_builtin
 from baryfit.aaa import levy_weights
 from baryfit.core import NumericalError
-from baryfit.gradients import error_wf_step
+from baryfit.gradients import error_wf_step, grad_nonlinear
 from baryfit.linalg import LevySystem, assemble_levy_system
 from baryfit.nlaaa import select_weights
-from baryfit.refine import RefineConfig, sk_iterate, wf_iterate, wf_step
+from baryfit.refine import RefineConfig, nonzero_denominators, sk_iterate, wf_iterate, wf_step
 from helpers import distinct_complex, random_instance, rationals, unit_grid
 
 
@@ -271,3 +271,29 @@ def test_wf_run_after_a_first_step_stops_on_a_start_with_infinite_error():
     assert run.errors.tolist() == [np.inf]
     assert run.best_index == 0 and not run.converged
     assert_array_equal(run.weights, w0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda supports, interp, data, w: wf_step(data.levy_system(supports, interp), w),
+        grad_nonlinear,
+    ],
+    ids=["wf_step", "grad_nonlinear"],
+)
+def test_a_vanishing_denominator_is_reported_at_its_sample(call):
+    # k = 2 with w1 = -w0 (z - lambda1)/(z - lambda0): d(z) = 0 exactly at the
+    # active sample z = 0.5 (1/(z - lambda) = 2 and -1, so 2 w0 - w1 = 0)
+    supports = np.array([0.0, 1.5], dtype=complex)
+    interp = np.array([4.0, 5.0], dtype=complex)
+    data = SampleSet([0.0, 0.5, 1.5, 3.0], [4.0, 1.0, 5.0, 2.0], [False, True, False, True])
+    w0 = 1.0 + 1.0j
+    w = np.array([w0, -w0 * (0.5 - 1.5) / (0.5 - 0.0)])
+    system = data.levy_system(supports, interp)
+    d = system.denominators(w)
+    assert d[0] == 0 and d[1] != 0
+    with pytest.raises(NumericalError, match=r"denominator vanishes at sample z = \(0\.5\+0j\)"):
+        call(supports, interp, data, w)
+    # the guard hands back d where it vanishes nowhere
+    w_ok = np.array([w0, 1.0])
+    assert np.array_equal(nonzero_denominators(system, w_ok), system.denominators(w_ok))
