@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .aaa import FitConfig, aaa_fit
-from .core import NumericalError, SampleSet, realize
+from .core import NumericalError, SampleSet, _check_integer, realize
 from .data import (
     BUILTIN_FUNCTIONS,
     SAMPLE_HEADER,
@@ -143,7 +143,7 @@ def cmd_gradcheck(args):
             "constant h_1, so the true-error and WF-step gradients vanish and "
             "the check would compare rounding against rounding" % (samples.size - 1)
         )
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_check_integer(args.seed, "--seed", 0))
     chosen = rng.choice(samples.size, size=k, replace=False)
     mask = np.ones(samples.size, dtype=bool)
     mask[chosen] = False

@@ -5,7 +5,7 @@ A barycentric rational model is the ratio
     r(z) = (sum_j w_j h_j / (z - lambda_j)) / (sum_j w_j / (z - lambda_j)),
 
 which interpolates h_j at the support point lambda_j whenever w_j != 0.
-The degree-0 variant is a plain constant. Sample data lives in immutable
+With one support it is the constant h_0. Sample data lives in immutable
 :class:`SampleSet` objects carrying an active/interpolated partition.
 """
 
@@ -167,9 +167,10 @@ _BLOCK = 4096
 
 
 class RationalModel:
-    """A barycentric rational function, or a degree-0 constant.
+    """A barycentric rational function of degree k - 1 on k supports.
 
-    Use :meth:`constant` or :meth:`barycentric` to construct. Calling the
+    A model with one nonzero weight is the constant h_j of its support,
+    up to rounding: it evaluates as the ratio like any other. Calling the
     model evaluates it over its supports of nonzero weight only, bit for bit
     as its copy without the others, which add nothing to either sum; at a
     support of nonzero weight the stored value is returned exactly
@@ -181,19 +182,7 @@ class RationalModel:
     model whose h*w overflows raises ValueError.
     """
 
-    def __init__(self, supports=None, values=None, weights=None, constant=None):
-        if constant is not None:
-            if supports is not None or values is not None or weights is not None:
-                raise ValueError("constant model takes no barycentric data")
-            constant = complex(constant)
-            if not (np.isfinite(constant.real) and np.isfinite(constant.imag)):
-                raise ValueError("constant value must be finite")
-            self.constant_value = constant
-            self.supports = None
-            self.values = None
-            self.weights = None
-            return
-        self.constant_value = None
+    def __init__(self, supports, values, weights):
         self.supports = _as_complex_vector(supports, "supports")
         self.values = _as_complex_vector(values, "values")
         self.weights = _as_complex_vector(weights, "weights")
@@ -216,26 +205,23 @@ class RationalModel:
         self._sorted_supports = self._live[0][self._support_order]
 
     @classmethod
-    def constant(cls, value):
-        return cls(constant=value)
-
-    @classmethod
     def barycentric(cls, supports, values, weights):
-        return cls(supports=supports, values=values, weights=weights)
+        return cls(supports, values, weights)
 
     @property
     def is_constant(self):
-        return self.constant_value is not None
+        """True when exactly one weight is nonzero."""
+        return self._live[0].size == 1
 
     @property
     def k(self):
-        """Number of support points (0 for the constant variant)."""
-        return 0 if self.is_constant else self.supports.size
+        """Number of support points, of zero weight too."""
+        return self.supports.size
 
     @property
     def degree(self):
-        """Rational degree: k - 1 support points, 0 for the constant."""
-        return max(self.k - 1, 0)
+        """Rational degree, k - 1."""
+        return self.k - 1
 
     def __call__(self, z):
         """Evaluate the model at one or more points (scalar in, scalar out).
@@ -249,10 +235,6 @@ class RationalModel:
         in and unmapped on every call.
         """
         scalar_in = np.isscalar(z) or np.shape(z) == ()
-        if self.is_constant:
-            if scalar_in:
-                return self.constant_value
-            return np.full(np.shape(z), self.constant_value, dtype=complex)
         zv = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
         lam, h, w, hw = self._live
         hit_row, hit_col = self._support_hits(zv)
@@ -305,12 +287,11 @@ class Realization:
     roles of b and c swapped produces 1/r instead). The pencil is singular
     exactly where the model has a pole and at the support points of zero
     weight, where the model itself is finite. The four arrays are read-only.
-    A constant model raises ValueError.
+    A one-support model realizes at order 1, E = 0, A = -w_0, b = 1 and
+    c = h_0 w_0, whose transfer function is the constant h_0 w_0 / w_0.
     """
 
     def __init__(self, model):
-        if model.is_constant:
-            raise ValueError("realization needs a barycentric model with k >= 1")
         lam, k = model.supports, model.k
         i = np.arange(k - 1)
         self.E = np.zeros((k, k), dtype=complex)

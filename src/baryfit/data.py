@@ -205,18 +205,15 @@ def save_model(path, model):
     Hand-rolled emitter: the stdlib serializer writes shortest round-trip
     reprs, while this format pins 17 significant digits.
     """
-    if model.is_constant:
-        doc = '{"kind": "constant", "constant": %s}' % _json_complex(model.constant_value)
-    else:
-        arrays = []
-        for key, arr in (
-            ("supports", model.supports),
-            ("values", model.values),
-            ("weights", model.weights),
-        ):
-            items = ", ".join(_json_complex(v) for v in arr)
-            arrays.append('"%s": [%s]' % (key, items))
-        doc = '{"kind": "barycentric", %s}' % ", ".join(arrays)
+    arrays = []
+    for key, arr in (
+        ("supports", model.supports),
+        ("values", model.values),
+        ("weights", model.weights),
+    ):
+        items = ", ".join(_json_complex(v) for v in arr)
+        arrays.append('"%s": [%s]' % (key, items))
+    doc = '{"kind": "barycentric", %s}' % ", ".join(arrays)
     with open(path, "w") as f:
         f.write(doc + "\n")
 
@@ -238,17 +235,15 @@ def load_model(path):
     if not isinstance(doc, dict):
         raise ValueError("%s: expected a JSON object, got %s" % (path, type(doc).__name__))
     kind = doc.get("kind")
-    if kind == "constant":
-        return RationalModel.constant(_parse_complex(doc.get("constant"), "constant"))
-    if kind == "barycentric":
-        fields = {}
-        for key in ("supports", "values", "weights"):
-            seq = doc.get(key)
-            if not isinstance(seq, list):
-                raise ValueError("model file misses array %r" % key)
-            fields[key] = [_parse_complex(v, "%s[%d]" % (key, i)) for i, v in enumerate(seq)]
-        return RationalModel.barycentric(**fields)
-    raise ValueError("unknown model kind %r" % kind)
+    if kind != "barycentric":
+        raise ValueError("unknown model kind %r" % kind)
+    fields = {}
+    for key in ("supports", "values", "weights"):
+        seq = doc.get(key)
+        if not isinstance(seq, list):
+            raise ValueError("model file misses array %r" % key)
+        fields[key] = [_parse_complex(v, "%s[%d]" % (key, i)) for i, v in enumerate(seq)]
+    return RationalModel.barycentric(**fields)
 
 
 def save_realization(directory, realization):

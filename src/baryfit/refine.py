@@ -151,7 +151,7 @@ def wf_iterate(system, w0, cfg):
     renormalizing both to pivot value 1. An iterate with infinite active
     error (its denominator vanishes at an active sample, or the residual
     overflows) ends the iteration: there is nothing to linearize around, and
-    the best earlier iterate is returned.
+    the best earlier iterate is returned, unconverged.
     """
     w0 = np.asarray(w0, dtype=complex)
     pivot = _choose_pivot(w0)
@@ -163,7 +163,8 @@ def wf_iterate(system, w0, cfg):
         n, d, err = system.evaluate(w)
         iterates.append(w)
         errors.append(err)
-        if _pivot_normalized_diff(w, iterates[-2], pivot) < cfg.tol_wf:
+        # not on an iterate of infinite error: it may hold inf entries, and the loop ends there
+        if np.isfinite(err) and _pivot_normalized_diff(w, iterates[-2], pivot) < cfg.tol_wf:
             converged = True
             break
     best = int(np.argmin(errors))

@@ -175,11 +175,13 @@ def test_eval_prints_interpolated_values_at_supports(tmp_path, capsys):
 
 def test_eval_accepts_full_sample_files_as_points(tmp_path, capsys):
     model_path = tmp_path / "model.json"
-    save_model(model_path, RationalModel.constant(4.0 - 1.0j))
+    model = RationalModel.barycentric([0.25], [4.0 - 1.0j], [1.0])
+    save_model(model_path, model)
     data = _sample_file(tmp_path, "abs", 7)
     assert cli.main(["eval", "--model", str(model_path), "--points", str(data)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines == ["4,-1"] * 7
+    got = [complex(*map(float, line.split(","))) for line in lines]
+    assert got == list(model(load_samples(data).points))
 
 
 def test_eval_at_a_pole_is_a_numerical_failure(tmp_path, capsys):
@@ -193,15 +195,17 @@ def test_eval_at_a_pole_is_a_numerical_failure(tmp_path, capsys):
 
 def test_eval_rejects_a_malformed_model_file(tmp_path, caplog):
     model_path = tmp_path / "model.json"
-    model_path.write_text('{"kind": "constant", "constant": {"re": null, "im": 0}}\n')
+    model_path.write_text('{"kind": "barycentric", "supports": [{"re": 0, "im": 0}], '
+                          '"values": [{"re": null, "im": 0}], '
+                          '"weights": [{"re": 1, "im": 0}]}\n')
     points = _points_file(tmp_path, [0.0])
     assert cli.main(["eval", "--model", str(model_path), "--points", str(points)]) == 2
-    assert "constant: re and im must be numbers" in caplog.text
+    assert "values[0]: re and im must be numbers" in caplog.text
 
 
 def test_eval_rejects_foreign_point_headers(tmp_path):
     model_path = tmp_path / "model.json"
-    save_model(model_path, RationalModel.constant(1.0))
+    save_model(model_path, RationalModel.barycentric([0.0], [1.0], [1.0]))
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n0,0\n")
     assert cli.main(["eval", "--model", str(model_path), "--points", str(bad)]) == 2
@@ -209,7 +213,7 @@ def test_eval_rejects_foreign_point_headers(tmp_path):
 
 def test_eval_rejects_rows_of_another_width(tmp_path, caplog):
     model_path = tmp_path / "model.json"
-    save_model(model_path, RationalModel.constant(1.0))
+    save_model(model_path, RationalModel.barycentric([0.0], [1.0], [1.0]))
     bad = tmp_path / "wide.csv"
     bad.write_text(",".join(SAMPLE_HEADER[:2]) + "\n0,0\n1,0,2\n")
     assert cli.main(["eval", "--model", str(model_path), "--points", str(bad)]) == 2
@@ -238,11 +242,14 @@ def test_realize_checks_the_transfer_past_a_pole_at_a_probe(tmp_path, caplog):
     assert "transfer check at z=0.5" in caplog.text
 
 
-def test_realize_rejects_constant_models(tmp_path):
+def test_realize_rejects_constant_models(tmp_path, caplog):
+    # the format's one kind is barycentric; a constant is a one-support model
     model_path = tmp_path / "model.json"
-    save_model(model_path, RationalModel.constant(2.0))
+    model_path.write_text('{"kind": "constant", "constant": {"re": 2, "im": 0}}\n')
     outdir = tmp_path / "rom"
     assert cli.main(["realize", "--model", str(model_path), "--out", str(outdir)]) == 2
+    assert "unknown model kind 'constant'" in caplog.text
+    assert not outdir.exists()
 
 
 def _overflowing_model_file(tmp_path):
@@ -289,6 +296,12 @@ def test_gradcheck_validates_the_support_count(tmp_path):
     assert cli.main(["gradcheck", "--data", str(data), "--k", "0"]) == 2
     # one support: r is constant, so two comparisons set rounding against rounding
     assert cli.main(["gradcheck", "--data", str(data), "--k", "1"]) == 2
+
+
+def test_gradcheck_rejects_a_negative_seed(tmp_path, caplog):
+    data = _sample_file(tmp_path, "relu", 11)
+    assert cli.main(["gradcheck", "--data", str(data), "--k", "4", "--seed", "-1"]) == 2
+    assert "--seed must be >= 0, got -1" in caplog.text
 
 
 # ----------------------------------------------------------------- compare

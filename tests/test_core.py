@@ -125,11 +125,37 @@ def test_eval_pole_in_a_later_block_names_the_point():
 
 
 def test_constant_model_evaluates_everywhere():
-    model = RationalModel.constant(3 - 2j)
-    assert model(17.0) == 3 - 2j
-    out = model(np.zeros((2, 3)))
+    model = RationalModel.barycentric([0.0], [3 - 2j], [1.0])
+    assert_allclose(model(17.0), 3 - 2j, rtol=4 * EPS)
+    out = model(np.zeros((2, 3)))  # at the support: h exactly
     assert out.shape == (2, 3)
     assert np.all(out == 3 - 2j)
+
+
+def test_one_support_models_are_the_constant_h_to_rounding():
+    """One support is degree 0: r(z) = (h w / (z - lambda)) / (w / (z - lambda))
+    is h, and so is the order-1 realization's h w / w, up to the rounding of
+    h w, the two products and the division. 3,000,000 seeded evaluations of
+    this kind gave a worst relative error of 2.84 eps for the model and 1.93
+    eps for the realization; 4 eps bounds both."""
+    rng = np.random.default_rng(59)
+    for t in range(200):
+        lam, h, w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        if t % 3 == 0:  # far from unit scale, h w still finite and normal
+            h *= 2.0 ** int(rng.integers(-500, 500))
+            w *= 2.0 ** int(rng.integers(-400, 400))
+        model = RationalModel.barycentric([lam], [h], [w])
+        assert model.k == 1 and model.degree == 0 and model.is_constant
+        z = distinct_complex(rng, 100, scale=3.0)
+        assert np.abs(z - lam).min() > 1e-6  # off the support
+        assert_allclose(model(z), h, rtol=4 * EPS, atol=0)
+        assert_allclose(realize(model).transfer(z), h, rtol=4 * EPS, atol=0)
+
+
+def test_is_constant_counts_the_nonzero_weights():
+    assert not RationalModel.barycentric([0.0, 1.0], [2.0, 3.0], [1.0, -1j]).is_constant
+    model = RationalModel.barycentric([0.0, 1.0, 2.0], [2.0, 3.0, 4.0], [2 - 1j, 0.0, 0.0])
+    assert model.is_constant and model.k == 3 and model.degree == 2
 
 
 def test_interpolation_is_exact_for_random_models():
@@ -279,9 +305,7 @@ def test_model_rejects_bad_input():
     with pytest.raises(ValueError):
         RationalModel.barycentric([1.0], [np.inf], [1.0])
     with pytest.raises(ValueError):
-        RationalModel.constant(np.nan)
-    with pytest.raises(ValueError):
-        RationalModel(supports=[1.0], values=[1.0], weights=[1.0], constant=2.0)
+        RationalModel.barycentric([1.0], [1.0], [np.nan])
     with pytest.raises(ValueError, match="equal length"):
         RationalModel.barycentric([1.0, 2.0], [1.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="at least one support"):
@@ -289,8 +313,8 @@ def test_model_rejects_bad_input():
 
 
 def test_degree_bookkeeping():
-    assert RationalModel.constant(1.0).degree == 0
-    assert RationalModel.constant(1.0).k == 0
+    model = RationalModel.barycentric([1.0], [1.0], [1.0])
+    assert model.k == 1 and model.degree == 0
     model = random_model(np.random.default_rng(3), 5)
     assert model.k == 5 and model.degree == 4
 
@@ -352,11 +376,6 @@ def test_realize_transfer_keeps_the_shape_of_its_input():
     assert isinstance(scalar, complex)
     assert_allclose(scalar, got[3, 7], rtol=1e-14)
     assert rom.transfer(np.empty(0)).shape == (0,)
-
-
-def test_realize_rejects_constant_model():
-    with pytest.raises(ValueError):
-        realize(RationalModel.constant(1.0))
 
 
 def test_realization_arrays_are_read_only():

@@ -88,19 +88,20 @@ def test_sampler_input_validation():
 
 def test_metrics_of_an_exact_model_are_zero():
     data = SampleSet([0.0, 1.0, 2.0], [2.0, 2.0, 2.0])
-    pair = metrics(RationalModel.constant(2.0), data)
+    # h at its support z = 0, and 1/z is exact at z = 1, 2: the model reads 2 exactly
+    pair = metrics(RationalModel.barycentric([0.0], [2.0], [1.0]), data)
     assert pair.l2 == 0.0 and pair.linf == 0.0
 
 
 def test_metrics_of_the_zero_model_are_one():
     data = SampleSet([0.0, 1.0], [3.0 + 4.0j, -2.0])
-    pair = metrics(RationalModel.constant(0.0), data)
+    pair = metrics(RationalModel.barycentric([5.0], [0.0], [1.0]), data)
     assert_allclose([pair.l2, pair.linf], [1.0, 1.0], rtol=1e-15)
 
 
 def test_metrics_hand_values():
     data = SampleSet([0.0, 1.0], [1.0, 2.0])
-    pair = metrics(RationalModel.constant(1.0), data)
+    pair = metrics(RationalModel.barycentric([0.0], [1.0], [1.0]), data)
     assert_allclose(pair.l2, 1.0 / np.sqrt(5.0), rtol=1e-15)
     assert pair.linf == 0.5
 
@@ -108,7 +109,7 @@ def test_metrics_hand_values():
 def test_metrics_reject_identically_zero_data():
     data = SampleSet([0.0, 1.0], [0.0, 0.0])
     with pytest.raises(NumericalError):
-        metrics(RationalModel.constant(1.0), data)
+        metrics(RationalModel.barycentric([0.5], [1.0], [1.0]), data)
 
 
 def test_metrics_are_exact_under_power_of_two_scaling():
@@ -205,16 +206,26 @@ def test_blank_lines_are_skipped(tmp_path):
 
 def test_constant_model_round_trip(tmp_path):
     path = tmp_path / "model.json"
-    save_model(path, RationalModel.constant(1.5 - 2.25j))
+    save_model(path, RationalModel.barycentric([0.5j], [1.5 - 2.25j], [-3.0]))
     back = load_model(path)
-    assert back.is_constant and back.constant_value == 1.5 - 2.25j
+    assert back.is_constant and back.k == 1
+    assert (back.supports[0], back.values[0], back.weights[0]) == (0.5j, 1.5 - 2.25j, -3.0)
 
 
 def test_negative_zero_survives_the_round_trip(tmp_path):
     path = tmp_path / "model.json"
-    save_model(path, RationalModel.constant(complex(-0.0, -0.0)))
-    value = load_model(path).constant_value
-    assert np.signbit(value.real) and np.signbit(value.imag)
+    zero = complex(-0.0, -0.0)
+    save_model(path, RationalModel.barycentric([zero], [zero], [1.0]))
+    back = load_model(path)
+    for value in (back.supports[0], back.values[0]):
+        assert np.signbit(value.real) and np.signbit(value.imag)
+
+
+def test_a_constant_kind_model_file_is_an_unknown_kind(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"kind": "constant", "constant": {"re": 1.5, "im": -2.25}}\n')
+    with pytest.raises(ValueError, match="unknown model kind 'constant'"):
+        load_model(path)
 
 
 def test_barycentric_model_round_trip_is_exact(tmp_path):
@@ -238,8 +249,9 @@ def test_model_file_validation(tmp_path):
     with pytest.raises(ValueError):
         load_model(missing)
     bad_complex = tmp_path / "complex.json"
-    bad_complex.write_text('{"kind": "constant", "constant": {"re": 1}}\n')
-    with pytest.raises(ValueError):
+    bad_complex.write_text('{"kind": "barycentric", "supports": [{"re": 1}], '
+                           '"values": [{"re": 0, "im": 0}], "weights": [{"re": 1, "im": 0}]}\n')
+    with pytest.raises(ValueError, match=r"supports\[0\]: expected an object with re/im"):
         load_model(bad_complex)
     not_json = tmp_path / "mangled.json"
     not_json.write_text('{"kind": ')

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from baryfit import FitConfig, NlaaaConfig, SampleSet, aaa_fit, sample_builtin
+from baryfit import FitConfig, NlaaaConfig, SampleSet, aaa_fit, nlaaa_fit, sample_builtin
 from baryfit.aaa import levy_weights
 from baryfit.core import NumericalError
 from baryfit.gradients import error_wf_step, grad_nonlinear
@@ -271,6 +271,20 @@ def test_wf_run_after_a_first_step_stops_on_a_start_with_infinite_error():
     assert run.errors.tolist() == [np.inf]
     assert run.best_index == 0 and not run.converged
     assert_array_equal(run.weights, w0)
+
+
+def test_wf_convergence_is_not_tested_on_an_iterate_of_infinite_error():
+    # on this ordering of the samples one WF run of the fit grows its
+    # iterates to 5e296 and then to two inf entries; comparing that iterate
+    # with the one before divided inf by inf, a RuntimeWarning
+    d = sample_builtin("abs_sin3pi", 201)
+    p = np.random.default_rng(6).permutation(201)
+    data = SampleSet(d.points[p], d.values[p])
+    cfg = NlaaaConfig(max_degree=16, tol=0.0, fallback_mode="relative")
+    _, trace = nlaaa_fit(data, cfg)
+    assert len(trace.records) == 17
+    l2 = [rec.l2_norm for rec in trace.records]
+    assert all(b <= a for a, b in zip(l2, l2[1:]))
 
 
 @pytest.mark.parametrize(
