@@ -9,6 +9,7 @@ With one support it is the constant h_0. Sample data lives in immutable
 :class:`SampleSet` objects carrying an active/interpolated partition.
 """
 
+import cmath
 import copy
 import operator
 
@@ -158,12 +159,17 @@ class SampleSet:
         return smaller
 
 
-# Cauchy entries per row block of model evaluation, and points per block of
-# Realization.transfer: 16 bytes each, 64 KB per array. Both stay below numpy's
-# 256 KB threshold for reusing a temporary operand in place, which computes
-# `x * (y - s)` as `(y - s) * x`; the AVX-512 complex product, one fused
-# multiply-add per part, rounds the imaginary part of the two orders apart.
+# Cauchy entries per row block of model evaluation: 16 bytes each, 64 KB per
+# array. That stays below glibc's 128 KiB mmap threshold (see
+# RationalModel.__call__) and below numpy's 256 KB threshold for reusing a
+# temporary operand in place, which computes `x * (y - s)` as `(y - s) * x`;
+# the AVX-512 complex product, one fused multiply-add per part, rounds the
+# imaginary part of the two orders apart.
 _BLOCK = 4096
+# Points per block of Realization.transfer: its (3, n) state, 48 bytes a
+# point, stays below the same mmap threshold (127,968 bytes), and each (n,)
+# temporary (42 KB) below numpy's in-place reuse.
+_TRANSFER_BLOCK = 2666
 
 
 class RationalModel:
@@ -226,6 +232,15 @@ class RationalModel:
     def __call__(self, z):
         """Evaluate the model at one or more points (scalar in, scalar out).
 
+        At a support of nonzero weight the stored value is returned exactly.
+        Next to one, within about 2^-1024, 1 / (z - lambda) overflows, and
+        a little farther out the sums or their ratio can: where the
+        denominator is not finite, or the ratio is not although the
+        denominator is nonzero, that point is evaluated again with every
+        z - lambda divided by the distance to the nearest support, which
+        leaves the ratio as it is. Every other point keeps the bits of the
+        plain formula.
+
         Points are processed in row blocks of about 64 KB of Cauchy entries,
         so the temporaries of a call stay small whatever the number of
         points. That keeps the cost of a call independent of what the heap
@@ -245,19 +260,31 @@ class RationalModel:
         # another order: so no block has one row unless the input does.
         rows = max(2, _BLOCK // lam.size)
         last = zv.size - 1
-        for start in range(0, max(last, 1), rows):
-            stop = start + rows if start + rows < last else zv.size
-            cauchy = zv[start:stop, None] - lam[None, :]
-            if hit_row.size:
-                in_block = slice(*np.searchsorted(hit_row, (start, stop)))
-                cauchy[hit_row[in_block] - start, hit_col[in_block]] = 1.0
-            np.divide(1.0, cauchy, out=cauchy)  # in place; rounds like 1.0 / cauchy
-            # two matrix-vector products, not one product with a two-column
-            # matrix: the latter sums in another order and moves the last bits
-            np.matmul(cauchy, hw, out=num[start:stop])
-            np.matmul(cauchy, w, out=den[start:stop])
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # 1 / (z - lambda) overflows within about 2^-1024 of a support, and
+        # the products or their ratio can a little farther out: such rows
+        # are evaluated again below, so no warning is due for them
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for start in range(0, max(last, 1), rows):
+                stop = start + rows if start + rows < last else zv.size
+                cauchy = zv[start:stop, None] - lam[None, :]
+                if hit_row.size:
+                    in_block = slice(*np.searchsorted(hit_row, (start, stop)))
+                    cauchy[hit_row[in_block] - start, hit_col[in_block]] = 1.0
+                np.divide(1.0, cauchy, out=cauchy)  # in place; rounds like 1.0 / cauchy
+                # two matrix-vector products, not one product with a two-column
+                # matrix: the latter sums in another order and moves the last bits
+                np.matmul(cauchy, hw, out=num[start:stop])
+                np.matmul(cauchy, w, out=den[start:stop])
             r = num / den
+            # num . den is not finite where an entry of either is not, nor
+            # where num and den are large enough to overflow inside num / den
+            if not cmath.isfinite(num.dot(den)):
+                near = ~np.isfinite(den)
+                near |= ~np.isfinite(r) & (den != 0)
+                near[hit_row] = False
+                near = np.flatnonzero(near)
+                num[near], den[near] = self._near_support(zv[near])
+                r[near] = num[near] / den[near]
         bad = den == 0
         r[hit_row] = h[hit_col]
         bad[hit_row] = False
@@ -267,6 +294,24 @@ class RationalModel:
         if scalar_in:
             return complex(r[0])
         return r.reshape(np.shape(z))
+
+    def _near_support(self, zv):
+        """(num, den) at points off the supports, both divided by the
+        distance to the nearest support, which leaves their ratio as it is.
+
+        Each z - lambda is divided by that distance, its real and imaginary
+        parts apart, so no reciprocal exceeds 1 in modulus. A support
+        2^1024 times as far as the nearest gives a reciprocal of 1 / inf, or
+        nan where both parts overflow: it counts as 0.
+        """
+        lam, _, w, hw = self._live
+        cauchy = zv[:, None] - lam[None, :]
+        nearest = np.abs(cauchy).min(axis=1, keepdims=True)
+        cauchy.real /= nearest
+        cauchy.imag /= nearest
+        np.divide(1.0, cauchy, out=cauchy)
+        cauchy[np.isnan(cauchy)] = 0
+        return cauchy @ hw, cauchy @ w
 
     def _support_hits(self, zv):
         """(rows, columns) with zv[row] == the live support of that column,
@@ -321,8 +366,11 @@ class Realization:
         pivots between the carried row and row j+1 on the larger modulus and
         carries the other row minus a multiple of the pivot row, which is
         again one value `a` over the columns before the last, then `last`
-        and `rhs`: O(k) work per point, vectorized over blocks of _BLOCK
-        points. The result is the last right-hand side over the last pivot.
+        and `rhs`. The three are one (3, n) array over a block of
+        _TRANSFER_BLOCK points, scaled by one product per column; `last` and
+        `rhs` then gain the multiple of row j+1's two entries, where w_{j+1}
+        is nonzero. That is O(k) work per point, and the result is the last
+        right-hand side over the last pivot.
 
         Raises PoleAtPointError, naming the point, where a pivot is exactly
         zero: at a pole, or at a support point of zero weight (where the
@@ -330,32 +378,39 @@ class Realization:
         """
         zv = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
         k = self.order
-        E, A, c = self.E, self.A, self.c
+        A, c = self.A, self.c
+        lam = -np.diagonal(A, 1)  # lambda_1 .. lambda_{k-1}
         out = np.empty(zv.size, dtype=complex)
-        for lo in range(0, zv.size, _BLOCK):
-            zb = zv[lo:lo + _BLOCK]
-            zero = zb * 0  # z times E's zeros in the last two columns: signed zeros
-            a = zb * E[0, 0] - A[0, 0]  # row 0, columns 0..k-2
-            last = zero - A[k - 1, 0]
-            rhs = zero + c[0]
+        for lo in range(0, zv.size, _TRANSFER_BLOCK):
+            zb = zv[lo:lo + _TRANSFER_BLOCK]
+            S = np.empty((3, zb.size), dtype=complex)
+            # views: the carried row over columns 0..k-2, in column k-1, and
+            # its right-hand side
+            a, last, rhs = S
+            np.subtract(zb, A[0, 0], out=a)
+            last[:] = -A[k - 1, 0]
+            rhs[:] = c[0]
             for j in range(k - 1):
-                new = zb * E[j, j + 1] - A[j, j + 1]
+                new = lam[j] - zb
                 swap = np.abs(new) > np.abs(a)
                 pivot = np.where(swap, new, a)
                 if not pivot.all():
                     _raise_singular(zb, pivot)
-                minus_mult = -np.where(swap, a, new) / pivot
+                minus_mult = np.where(swap, a, new)
+                np.negative(minus_mult, out=minus_mult)
+                minus_mult /= pivot
                 # the row that was not the pivot, minus mult times the pivot
-                keep = np.where(swap, 1, minus_mult)
-                a, last, rhs = a * keep, last * keep, rhs * keep
+                S *= np.where(swap, 1, minus_mult)
                 if A[k - 1, j + 1] != 0:
+                    # multiplier first, as in S * keep: the AVX-512 complex
+                    # product rounds x*y and y*x apart (see _BLOCK)
                     add = np.where(swap, minus_mult, 1)
-                    last += add * (zero - A[k - 1, j + 1])
-                    rhs += add * (zero + c[j + 1])
+                    last += add * -A[k - 1, j + 1]
+                    rhs += add * c[j + 1]
             if not last.all():
                 _raise_singular(zb, last)
             # + 0 turns a -0 part into +0, as the sum b^T y = 0 + y_{k-1} does
-            out[lo:lo + _BLOCK] = rhs / last + 0
+            out[lo:lo + _TRANSFER_BLOCK] = rhs / last + 0
         if np.isscalar(z) or np.shape(z) == ():
             return complex(out[0])
         return out.reshape(np.shape(z))

@@ -124,6 +124,39 @@ def test_eval_pole_in_a_later_block_names_the_point():
         model(z)
 
 
+def test_eval_next_to_a_support_is_the_support_value():
+    """Within 2^-1024 of a support, 1 / (z - lambda) overflows (1e-320), or
+    the products do (1e-308): those rows are evaluated again with every
+    z - lambda divided by the distance to the nearest support, without a
+    warning. Rows that were finite keep their bits, and a support itself
+    still returns its value exactly."""
+    model = RationalModel.barycentric([0.0, 1.0], [3 - 4j, 1.0], [1.0, 1.0])
+    near = np.array([1e-320, 1e-308, -5e-324, 1e-320j, 1 + 5e-324j])
+    far = np.array([0.25, 2.0 - 1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = model(np.concatenate([near, far, [0.0, 1.0]]))
+        assert model(1e-320) == got[0]
+        alone = model(far)
+    assert_allclose(got[:5], [3 - 4j] * 4 + [1.0], rtol=4 * EPS, atol=0)
+    assert got[5:7].tobytes() == alone.tobytes()
+    assert_array_equal(got[7:], model.values)
+    # num and den stay finite at 1e-308, their ratio overflows inside
+    model = RationalModel.barycentric([0.0, 1.0], [1.0, 2.0], [1 + 1j, 1 + 1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert_allclose(model(1e-308), 1.0, rtol=4 * EPS, atol=0)
+
+
+def test_eval_next_to_a_support_drops_supports_too_far_to_count():
+    # the other supports are more than 2^1024 times as far as the nearest
+    # one: their scaled z - lambda overflows to inf in one part or in both
+    model = RationalModel.barycentric([0.0, 1.0, 1 + 1j], [3 - 4j, 1.0, 2.0], [1.0, 1.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert model(1e-320) == 3 - 4j
+
+
 def test_constant_model_evaluates_everywhere():
     model = RationalModel.barycentric([0.0], [3 - 2j], [1.0])
     assert_allclose(model(17.0), 3 - 2j, rtol=4 * EPS)
@@ -423,6 +456,25 @@ def test_transfer_raises_where_the_pencil_is_singular():
         realize(model).transfer(0.0)
 
 
+def test_transfer_pole_in_a_later_block_names_the_point():
+    # pole at 0.5, at a point past the first block of the transfer
+    rom = realize(RationalModel.barycentric([0.0, 1.0], [1.0, 3.0], [1.0, 1.0]))
+    z = np.linspace(2.0, 3.0, 2 * core._TRANSFER_BLOCK + 10)
+    z[core._TRANSFER_BLOCK + 7] = 0.5
+    with pytest.raises(PoleAtPointError, match=r"z = \(0\.5\+0j\)"):
+        rom.transfer(z)
+    # singular at a support of zero weight, in the last (partial) block
+    rom = realize(RationalModel.barycentric([0.0, 1.0, 2.0], [1.0, 3.0, 5.0], [1.0, 0.0, -1.0]))
+    z[-3] = 1.0
+    with pytest.raises(PoleAtPointError, match=r"z = \(1\+0j\)"):
+        rom.transfer(z)
+    # a zero pivot inside the elimination, at column 1 (see the test above)
+    rom = realize(RationalModel.barycentric([4.0, 5e-324, 0.0], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0]))
+    z[-3] = 0.0
+    with pytest.raises(PoleAtPointError, match=r"z = 0j"):
+        rom.transfer(z)
+
+
 def _dense_transfer(rom, z):
     """Oracle: c^T (zE - A)^{-1} b by one dense solve per point."""
     return np.array([np.linalg.solve(p * rom.E - rom.A, rom.b) @ rom.c for p in z])
@@ -477,7 +529,7 @@ def test_transfer_across_block_boundaries(k):
     rom = realize(model)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for count in (core._BLOCK - 1, core._BLOCK, core._BLOCK + 1):
+        for count in (core._TRANSFER_BLOCK - 1, core._TRANSFER_BLOCK, core._TRANSFER_BLOCK + 1):
             z = distinct_complex(rng, count, scale=3.0)
             _assert_near_dense_solve(rom, model, z, rom.transfer(z))
 
