@@ -8,6 +8,9 @@ with NL-AAA, which swaps in its own index and weight choices. As in AAA
 (Nakatsukasa, Sete & Trefethen, SISC 2018), one ``_full_residuals`` of a
 step's weights gives its stopping error, its trace metrics and the
 mismatches the next step ranks, so every row comes from its own weights.
+The weight choice hands that triple to the loop with the weights: AAA's
+evaluates its Levy weights, NL-AAA's refinement the weights it evaluated
+already.
 """
 
 import math
@@ -80,12 +83,14 @@ def levy_weights(system):
     return min_unit_norm_solution(levy_matrix(system))
 
 
-def _full_residuals(system, work, w):
+def _full_residuals(system, work, w, evaluated=None):
     """(raw, res, full) of weights `w` on the step's system and work set:
     the active squared error, the residuals |r - H| at the active samples
     (nan mapped to inf, so a pole at a sample ranks first and the step's
     metrics read inf) and those at every sample, zero at a support of
-    nonzero weight, which r interpolates exactly.
+    nonzero weight, which r interpolates exactly. `evaluated`, an earlier
+    evaluation of `w` on the system with fields `err` and `res` (a
+    ``refine.Iterate``), saves evaluating it again.
 
     `full` equals the residuals of the model's own evaluation bit for bit
     as long as the system's products sum as the model's do. Two rare cases
@@ -93,8 +98,11 @@ def _full_residuals(system, work, w):
     weight, which drops out of the model but not of the system, and a
     single active sample, whose product numpy takes as a dot.
     """
-    res = np.empty(work.active_count)
-    raw = system.residual_sq_sum(w, out=res)
+    if evaluated is None:
+        res = np.empty(work.active_count)
+        raw = system.residual_sq_sum(w, out=res)
+    else:
+        raw, res = evaluated.err, evaluated.res.copy()
     res[np.isnan(res)] = np.inf
     full = np.zeros(work.size)
     full[work.active_mask] = res
@@ -115,13 +123,14 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
     constant mean of the values starts it. Each step promotes
     `choose_index(res, work, branch)` to a support (`branch` is that of the
     step that made r, None at the start), builds the step's LevySystem, and
-    takes `(weights, branch) = choose_weights(w_prev, work, system)` for
-    the previous weights w_prev; the first step's weight is 1. One
-    _full_residuals of the new weights, a fallback's zero-extended ones
-    too, gives the stopping error, the next `res` and trace metrics equal
-    to `metrics(model, work)` bit for bit, so nothing is carried between
-    steps; apart from the rare steps it names, the loop builds and
-    evaluates no model.
+    takes `(weights, branch, residuals) = choose_weights(w_prev, work,
+    system)` for the previous weights w_prev, `residuals` the
+    _full_residuals triple of the weights; the first step's weight is 1,
+    whose triple the loop makes. That triple of the new weights, a
+    fallback's zero-extended ones too, gives the stopping error, the next
+    `res` and trace metrics equal to `metrics(model, work)` bit for bit, so
+    nothing is carried between steps; apart from the rare steps
+    _full_residuals names, no model is built or evaluated for them.
 
     The loop fits H / 2^e, with e chosen so that max|H| / 2^e lies in
     [1, 2). A power-of-two scale is exact and every kernel is homogeneous
@@ -152,9 +161,9 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
         system = work.levy_system(work.points[picked], work.values[picked])
         if k == 1:
             w, branch = np.ones(1, dtype=complex), "levy"
+            raw, res, full = _full_residuals(system, work, w)
         else:
-            w, branch = choose_weights(w, work, system)
-        raw, res, full = _full_residuals(system, work, w)
+            w, branch, (raw, res, full) = choose_weights(w, work, system)
         try:
             raw = math.ldexp(raw, 2 * e)
         except OverflowError:
@@ -178,9 +187,10 @@ def aaa_fit(data, cfg):
     `budget_exhausted` is set when the tolerance was not reached before the
     degree budget (or the data) ran out.
     """
+    def choose_weights(w_prev, work, system):
+        w = levy_weights(system)
+        return w, "levy", _full_residuals(system, work, w)
+
     return _greedy_fit(
-        data,
-        cfg,
-        lambda res, work, branch: greedy_select(res, work),
-        lambda w_prev, work, system: (levy_weights(system), "levy"),
+        data, cfg, lambda res, work, branch: greedy_select(res, work), choose_weights
     )

@@ -170,6 +170,14 @@ _BLOCK = 4096
 # point, stays below the same mmap threshold (127,968 bytes), and each (n,)
 # temporary (42 KB) below numpy's in-place reuse.
 _TRANSFER_BLOCK = 2666
+# Below this sum of the largest real or imaginary parts of the points and
+# supports, no part of z - lambda exceeds half the double range, so neither
+# the difference nor numpy's complex reciprocal of it (Smith's algorithm,
+# whose denominator is up to twice the larger part) overflows. With every
+# part of the supports below _WIDE_SUPPORTS, no finite z - lambda rounds
+# past the largest double, so model evaluation checks the points only above.
+_WIDE = 2.0 ** 1022
+_WIDE_SUPPORTS = 2.0 ** 969
 
 
 class RationalModel:
@@ -209,6 +217,7 @@ class RationalModel:
         # live supports in numpy's complex order, to find points that hit one
         self._support_order = np.argsort(self._live[0])
         self._sorted_supports = self._live[0][self._support_order]
+        self._support_top = float(np.abs(self._live[0].view(float)).max())
 
     @classmethod
     def barycentric(cls, supports, values, weights):
@@ -239,7 +248,9 @@ class RationalModel:
         denominator is nonzero, that point is evaluated again with every
         z - lambda divided by the distance to the nearest support, which
         leaves the ratio as it is. Every other point keeps the bits of the
-        plain formula.
+        plain formula. Where the parts of the points and supports are large
+        enough for z - lambda or its reciprocal to overflow, which would drop
+        a term, all of them are scaled by 2^-2 first: the ratio is invariant.
 
         Points are processed in row blocks of about 64 KB of Cauchy entries,
         so the temporaries of a call stay small whatever the number of
@@ -253,6 +264,10 @@ class RationalModel:
         zv = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
         lam, h, w, hw = self._live
         hit_row, hit_col = self._support_hits(zv)
+        x = zv  # the points computed with
+        if self._support_top >= _WIDE_SUPPORTS and (
+                self._support_top + float(np.abs(zv.view(float)).max(initial=0.0)) >= _WIDE):
+            x, lam = (np.ldexp(a.view(float), -2).view(complex) for a in (zv, lam))
         num = np.empty(zv.size, dtype=complex)
         den = np.empty(zv.size, dtype=complex)
         # Results equal those of one whole-array product bit for bit, except
@@ -266,7 +281,7 @@ class RationalModel:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for start in range(0, max(last, 1), rows):
                 stop = start + rows if start + rows < last else zv.size
-                cauchy = zv[start:stop, None] - lam[None, :]
+                cauchy = x[start:stop, None] - lam[None, :]
                 if hit_row.size:
                     in_block = slice(*np.searchsorted(hit_row, (start, stop)))
                     cauchy[hit_row[in_block] - start, hit_col[in_block]] = 1.0
@@ -283,7 +298,7 @@ class RationalModel:
                 near |= ~np.isfinite(r) & (den != 0)
                 near[hit_row] = False
                 near = np.flatnonzero(near)
-                num[near], den[near] = self._near_support(zv[near])
+                num[near], den[near] = self._near_support(x[near], lam)
                 r[near] = num[near] / den[near]
         bad = den == 0
         r[hit_row] = h[hit_col]
@@ -295,16 +310,17 @@ class RationalModel:
             return complex(r[0])
         return r.reshape(np.shape(z))
 
-    def _near_support(self, zv):
-        """(num, den) at points off the supports, both divided by the
-        distance to the nearest support, which leaves their ratio as it is.
+    def _near_support(self, zv, lam):
+        """(num, den) at points off the live supports `lam`, both divided by
+        the distance to the nearest support, which leaves their ratio as it
+        is.
 
         Each z - lambda is divided by that distance, its real and imaginary
         parts apart, so no reciprocal exceeds 1 in modulus. A support
         2^1024 times as far as the nearest gives a reciprocal of 1 / inf, or
         nan where both parts overflow: it counts as 0.
         """
-        lam, _, w, hw = self._live
+        _, _, w, hw = self._live
         cauchy = zv[:, None] - lam[None, :]
         nearest = np.abs(cauchy).min(axis=1, keepdims=True)
         cauchy.real /= nearest

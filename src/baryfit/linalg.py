@@ -7,13 +7,21 @@ WF iteration. Problem sizes are desk scale, so dense LAPACK kernels are the
 right tool. The fits build one :class:`LevySystem` per greedy step, and one
 :meth:`LevySystem.residual_sq_sum` of the step's weights gives both the
 active error and the residuals |r - H| that the next greedy selection
-ranks; its products also take (k, m) stacks of weights. Tall homogeneous
-solves decompose their R factor, bitwise as zgesdd itself would.
+ranks; its products also take (k, m) stacks of weights. The WF step takes
+the system's numerator and Cauchy matrices split at its pinned weight,
+made once per system. Tall homogeneous solves decompose their R factor,
+bitwise as zgesdd itself would.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# the floating-point errors an evaluation of weights expects and handles: a
+# pole at a sample (divide, invalid) and sums too large for a double (over)
+IGNORE = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "LevySystem",
@@ -94,12 +102,33 @@ class LevySystem:
 
     def evaluate(self, w, out=None):
         """(n(z_i; w), d(z_i; w), residual_sq_sum(w, out)) from one product each."""
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            n, d = self.numerators(w), self.denominators(w)
-            r = n / d
-        res = np.abs(r - self.data_values, out=out)
-        total = float(np.sum(res ** 2))
-        return n, d, (np.inf if np.isnan(total) else total)
+        with np.errstate(**IGNORE):
+            return self.evaluate_ignoring(w, out)[:3]
+
+    def evaluate_ignoring(self, w, out=None):
+        """:meth:`evaluate` and the residuals |r - H|, for a caller that holds
+        ``np.errstate(**IGNORE)`` already, as a refinement run does around
+        all of its iterates."""
+        n, d = self.numerators(w), self.denominators(w)
+        res = np.abs(n / d - self.data_values, out=out)
+        total = float((res ** 2).sum())
+        return n, d, (np.inf if np.isnan(total) else total), res
+
+    def pinned_columns(self, pivot):
+        """(P_free, C_free, p, c): the numerator matrix P (entries
+        h_j/(z_i - lambda_j)) and C without column `pivot`, and that column
+        of each, so that the WF matrix P - diag(a) C splits at its pinned
+        weight without forming P per step. Made on the first call for a
+        pivot and kept with the system; AAA's path never asks for it."""
+        kept = self.__dict__.setdefault("_pinned", {})  # frozen: no setattr
+        if pivot not in kept:
+            C = self.cauchy
+            P = C * self.interp_values[None, :]
+            free = np.arange(C.shape[1]) != pivot
+            kept[pivot] = (P[:, free], C[:, free], P[:, pivot].copy(), C[:, pivot].copy())
+            for arr in kept[pivot]:
+                arr.flags.writeable = False
+        return kept[pivot]
 
 
 def assemble_levy_system(active_points, active_values, supports, interp_values):
@@ -165,31 +194,27 @@ def denominator_weighting(denominator_values):
     if mags.size == 0:
         return mags
     top = float(mags.max())
-    if top == 0.0 or not np.isfinite(top):
+    if top == 0.0 or not math.isfinite(top):
         raise ValueError("denominator is zero or non-finite on every sample")
-    floor = max(np.finfo(float).eps * top, 1e-300)
-    return 1.0 / np.maximum(mags, floor)
+    return 1.0 / np.maximum(mags, max(_EPS * top, 1e-300))
 
 
-def pivoted_weighted_lsq(row_weights, F, b, pivot=0):
+def pivoted_weighted_lsq(row_weights, F, b, pivot=0, pinned=None):
     """Solve min ||D (F w - b)||_2 subject to w[pivot] = 1.
 
     D is diagonal with the given positive row weights. The free entries are
     found by a rank-revealing LAPACK least-squares solve (minimum-norm
     solution under rank deficiency); a single column leaves none free.
+    A caller that has split F at the pivot already passes column `pivot` as
+    `pinned` and F without it.
     """
     F = np.asarray(F, dtype=complex)
     b = np.asarray(b, dtype=complex)
     d = np.asarray(row_weights, dtype=float)
-    rows, k = F.shape
+    k = F.shape[1] + (pinned is not None)
     if not 0 <= pivot < k:
         raise ValueError("pivot %d out of range for %d columns" % (pivot, k))
-    w = np.zeros(k, dtype=complex)
-    w[pivot] = 1.0
-    free = np.arange(k) != pivot
-    lhs = F[:, free]
-    lhs *= d[:, None]
-    rhs = d * (b - F[:, pivot])
-    sol, _, _, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    w[free] = sol
-    return w
+    if pinned is None:
+        F, pinned = np.delete(F, pivot, axis=1), F[:, pivot]
+    sol = np.linalg.lstsq(F * d[:, None], d * (b - pinned), rcond=None)[0]
+    return np.concatenate((sol[:pivot], [1.0], sol[pivot:]))

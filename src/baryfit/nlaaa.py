@@ -1,15 +1,17 @@
 """NL-AAA: greedy interpolation with nonlinear least-squares weight refinement.
 
 NL-AAA is the greedy loop of AAA (``aaa._greedy_fit``) with other weights:
-on the step's LevySystem it compares an SK run against a single WF step
-seeded with the previous weights (extended by a zero for the new support),
-runs the full WF iteration from the better of the two, and keeps the
-previous model (zero weight on the new support) whenever nothing beats it
-on the full data set. A zero weight drops out of model evaluation, so the
-zero-extended previous weights evaluate bit for bit as the previous model
-and are the one reference of that test, which scores both weight vectors
-by ``aaa._full_residuals``, the route every trace row, a fallback's too,
-takes its metrics by. The fallback makes the reported full-data error
+``refine.refit`` refines them on the step's LevySystem from the previous
+weights, extended by a zero for the new support (SK, a single WF step
+from them, and the full WF iteration from the better of the two), and the
+loop keeps the previous model (zero weight on the new support) whenever
+that does not beat it on the full data set. A zero weight drops out of
+model evaluation, so the zero-extended previous weights evaluate bit for
+bit as the previous model and are the one reference of that test, which
+scores both weight vectors by the ``aaa._full_residuals`` triples that
+refit hands back; the loop takes the winner's triple, the route every
+trace row, a fallback's too, takes its metrics by, and computes none
+again. The fallback makes the reported full-data error
 provably non-increasing; the step after a fallback ranks the loop's active
 residuals |r - H| with a probabilistic or relative-error variant of the
 greedy selection, so the same support choice cannot stall the iteration
@@ -22,7 +24,7 @@ import numpy as np
 
 from .aaa import FitConfig, _full_residuals, _greedy_fit, greedy_select
 from .core import NumericalError, _check_integer
-from .refine import RefineConfig, sk_iterate, wf_iterate, wf_step
+from .refine import RefineConfig, refit
 
 __all__ = [
     "NlaaaConfig",
@@ -55,49 +57,43 @@ class NlaaaConfig(FitConfig):
             )
 
 
-def full_squared_error(system, weights, data):
+def full_squared_error(system, weights, data, residuals=None):
     """Squared error over all samples of `data`, the step's work set, whose
     interpolated samples are the system's supports (a zero-weight support
     contributes its true residual); inf at a pole on the grid or where h*w
     overflows: the sum of squares of ``aaa._full_residuals``' full
-    residuals, the trace metrics' own; only NL-AAA's acceptance uses it.
+    residuals, the trace metrics' own. `residuals` is that triple of
+    `weights` when the caller made it already. Only NL-AAA's acceptance
+    uses it.
     """
-    total = float(np.sum(_full_residuals(system, data, weights)[2] ** 2))
+    if residuals is None:
+        residuals = _full_residuals(system, data, weights)
+    total = float(np.sum(residuals[2] ** 2))
     return np.inf if np.isnan(total) else total
 
 
 def select_weights(system, data, w_prev_ext, cfg):
-    """Pick the weight vector for one NL-AAA step; returns (weights, branch).
+    """Pick the weight vector for one NL-AAA step; returns (weights, branch,
+    residuals), the last the ``aaa._full_residuals`` triple of the weights.
 
-    Runs SK on the step's LevySystem, takes one WF step from w_prev_ext,
-    compares their raw active squared errors, and runs the full WF iteration
-    from the better initializer. The winning iterate must strictly lower the
-    full-data squared error of w_prev_ext over all samples of `data`, the
-    step's work set, whose interpolated samples are the system's supports;
-    otherwise w_prev_ext is kept and the branch tag reports the fallback.
-    The zero extension evaluates bit for bit as the previous model (a model
-    evaluates over its nonzero weights only), so this one comparison is
-    against the error recorded for the previous model, and accepted errors
-    strictly fall. Of the two `full_squared_error` calls, which only decide
-    acceptance, the reference's evaluates a model, the candidate's rarely.
+    ``refine.refit`` refines from w_prev_ext: SK on the step's LevySystem,
+    one WF step from w_prev_ext, and the WF run from the better of the two.
+    Its weights must strictly lower the full-data squared error of
+    w_prev_ext over all samples of `data`, the step's work set, whose
+    interpolated samples are the system's supports; otherwise w_prev_ext
+    is kept and the branch tag reports the fallback. The zero extension
+    evaluates bit for bit as the previous model (a model evaluates over its
+    nonzero weights only), so this one comparison is against the error
+    recorded for the previous model, and accepted errors strictly fall.
+    Both scores come from the triples refit made, for which the reference
+    evaluated a model, the candidate rarely.
     """
     w_prev_ext = np.asarray(w_prev_ext, dtype=complex)
-    sk = sk_iterate(system, cfg.refine)
-    err_sk = float(np.min(sk.errors))
-    try:
-        err_w1 = system.residual_sq_sum(wf_step(system, w_prev_ext))
-    except NumericalError:
-        # d(z_i; w_prev_ext) = 0 at an active sample: nothing to step from
-        err_w1 = np.inf
-    if err_sk < err_w1:
-        start, branch = sk.weights, "wf-from-sk"
-    else:
-        start, branch = w_prev_ext, "wf-from-prev"
-    run = wf_iterate(system, start, cfg.refine)
-    if (full_squared_error(system, run.weights, data)
-            < full_squared_error(system, w_prev_ext, data)):
-        return run.weights, branch
-    return w_prev_ext, "fallback"
+    weights, branch, residuals, reference = refit(system, data, w_prev_ext, cfg.refine)
+    if (full_squared_error(system, weights, data, residuals)
+            < full_squared_error(system, w_prev_ext, data, reference)):
+        return weights, branch, residuals
+    return w_prev_ext, "fallback", reference
 
 
 def fallback_greedy(res, data, mode, rng):

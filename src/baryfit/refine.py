@@ -6,16 +6,28 @@ SK repeats the homogeneous unit-norm solve; WF solves a Gauss-Newton-style
 linearization of the rational map with the pivot weight pinned to 1.
 Neither iteration is guaranteed to converge monotonically, so both record
 the raw active squared error of every iterate and return the best one.
-Each iterate's error and the next step share one evaluation of n and d.
-A WF run has one entry point, :func:`wf_iterate`.
+
+:func:`refit` is the refinement of one fixed support set that NL-AAA takes
+at every greedy step: SK, one WF step from a start, and the WF run from the
+better of the two, handed back with the full residuals of its weights and
+of the start. It evaluates each weight vector on the system once: an
+:class:`Iterate` keeps the one evaluation of its weights, which gives its
+error, the next step and, for the best one, its residuals. SK's best
+iterate is the start of its WF run, and the run from the start continues
+from the one-step WF that the comparison took. Each run holds one
+``np.errstate`` around all of its iterates.
 """
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .aaa import _full_residuals
 from .core import NumericalError, _check_integer
 from .linalg import (
+    IGNORE,
     denominator_weighting,
     levy_matrix,
     min_unit_norm_solution,
@@ -25,9 +37,11 @@ from .linalg import (
 __all__ = [
     "RefineConfig",
     "RefineResult",
+    "Iterate",
     "sk_iterate",
     "wf_step",
     "wf_iterate",
+    "refit",
 ]
 
 
@@ -43,28 +57,62 @@ class RefineConfig:
             raise ValueError("tolerances must be >= 0")
 
 
+class Iterate(NamedTuple):
+    """A weight vector with its one evaluation on a LevySystem: n(z_i; w),
+    d(z_i; w), the raw active squared error (inf where a pole hits) and the
+    residuals |r(z_i; w) - H(z_i)| (nan or inf there)."""
+
+    weights: np.ndarray
+    n: np.ndarray
+    d: np.ndarray
+    err: float
+    res: np.ndarray
+
+
+def _evaluate(system, w):
+    """The Iterate of w; call under ``np.errstate(**IGNORE)``."""
+    return Iterate(w, *system.evaluate_ignoring(w))
+
+
 @dataclass
 class RefineResult:
     """Outcome of an inner iteration.
 
-    `weights` is the iterate with the smallest recorded error (`errors` is the
-    raw active squared error per iterate, and for WF entry 0 belongs to the
-    initialization); `final_weights` is the last iterate computed, which is the
-    one a convergence claim refers to.
+    `best` is the iterate with the smallest recorded error, whose weights
+    are `weights` (`errors` is the raw active squared error per iterate,
+    and for WF entry 0 belongs to the initialization); `final_weights` is
+    the last iterate computed, which is the one a convergence claim refers
+    to.
     """
 
-    weights: np.ndarray
+    best: Iterate
     errors: np.ndarray
     converged: bool
     best_index: int
     final_weights: np.ndarray
+
+    @property
+    def weights(self):
+        return self.best.weights
+
+
+def _result(iterates, converged):
+    errors = np.asarray([it.err for it in iterates])
+    best = int(np.argmin(errors))
+    return RefineResult(iterates[best], errors, converged, best, iterates[-1].weights)
+
+
+def _norm(x):
+    """np.linalg.norm(x) of a complex vector, by the same operations."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _phase_aligned_diff(w, w_prev):
     """min over |c| = 1 of ||c*w - w_prev||, immune to SVD phase flips."""
     s = np.vdot(w, w_prev)
     c = s / abs(s) if s != 0 else 1.0
-    return float(np.linalg.norm(c * w - w_prev))
+    return _norm(c * w - w_prev)
 
 
 def sk_iterate(system, cfg):
@@ -77,19 +125,18 @@ def sk_iterate(system, cfg):
     w_prev = np.zeros(system.interp_values.size, dtype=complex)
     dvals = np.ones(system.data_values.size, dtype=complex)
     iterates = []
-    errors = []
     converged = False
-    for _ in range(cfg.p_max):
-        w = min_unit_norm_solution(L * denominator_weighting(dvals)[:, None])
-        _, dvals, err = system.evaluate(w)
-        iterates.append(w)
-        errors.append(err)
-        if _phase_aligned_diff(w, w_prev) < cfg.tol_sk:
-            converged = True
-            break
-        w_prev = w
-    best = int(np.argmin(errors))
-    return RefineResult(iterates[best], np.asarray(errors), converged, best, iterates[-1])
+    with np.errstate(**IGNORE):
+        for _ in range(cfg.p_max):
+            w = min_unit_norm_solution(L * denominator_weighting(dvals)[:, None])
+            it = _evaluate(system, w)
+            iterates.append(it)
+            dvals = it.d
+            if _phase_aligned_diff(w, w_prev) < cfg.tol_sk:
+                converged = True
+                break
+            w_prev = w
+    return _result(iterates, converged)
 
 
 def _choose_pivot(w0):
@@ -102,10 +149,7 @@ def _choose_pivot(w0):
     return 0
 
 
-def nonzero_denominators(system, w):
-    """d(z_i; w) at the system's samples; NumericalError naming the first
-    sample where it vanishes exactly, which nothing can be divided by."""
-    d = system.denominators(w)
+def _nonzero(system, d):
     zero = np.nonzero(d == 0)[0]
     if zero.size:
         raise NumericalError(
@@ -114,7 +158,13 @@ def nonzero_denominators(system, w):
     return d
 
 
-def wf_step(system, w_prev):
+def nonzero_denominators(system, w):
+    """d(z_i; w) at the system's samples; NumericalError naming the first
+    sample where it vanishes exactly, which nothing can be divided by."""
+    return _nonzero(system, system.denominators(w))
+
+
+def wf_step(system, w_prev, prev=None):
     """One linearized least-squares step from w_prev, one weight pinned to 1.
 
     The coefficient matrix has entries h_j/(z_i - lambda_j) -
@@ -122,28 +172,31 @@ def wf_step(system, w_prev):
     -n(z_i; w_prev) + d(z_i; w_prev) H(z_i), and rows are weighted by
     1/|d(z_i; w_prev)|. The pinned weight is entry 0, or the largest entry
     of w_prev when entry 0 is negligible. Where d(z_i; w_prev) vanishes
-    there is no step: `nonzero_denominators` raises NumericalError.
+    there is no step: `nonzero_denominators` raises NumericalError. `prev`,
+    the Iterate of w_prev on the system, saves evaluating w_prev again.
     """
     w_prev = np.asarray(w_prev, dtype=complex)
     pivot = _choose_pivot(w_prev)
-    d_prev = nonzero_denominators(system, w_prev)
-    return _linearized_step(system, system.numerators(w_prev), d_prev, pivot)
+    if prev is None:
+        d_prev = nonzero_denominators(system, w_prev)
+        return _linearized_step(system, system.numerators(w_prev), d_prev, pivot)
+    return _linearized_step(system, prev.n, _nonzero(system, prev.d), pivot)
 
 
 def _linearized_step(system, n_prev, d_prev, pivot):
-    """:func:`wf_step` from n(z_i; w_prev) and d(z_i; w_prev), d nonzero."""
-    F = system.shifted_numerator_matrix(n_prev / d_prev)
+    """:func:`wf_step` from n(z_i; w_prev) and d(z_i; w_prev), d nonzero.
+
+    The matrix P - diag(n/d) C is formed from the system's pinned-column
+    split of P and C, bit for bit as ``shifted_numerator_matrix``'s."""
+    P_free, C_free, p, c = system.pinned_columns(pivot)
+    a = n_prev / d_prev
+    F = a[:, None] * C_free
+    np.subtract(P_free, F, out=F)
     b = -n_prev + d_prev * system.data_values
-    return pivoted_weighted_lsq(denominator_weighting(d_prev), F, b, pivot)
+    return pivoted_weighted_lsq(denominator_weighting(d_prev), F, b, pivot, p - a * c)
 
 
-def _pivot_normalized_diff(w, w_prev, pivot):
-    # w[pivot] != 0 (_choose_pivot, WF pins it); an overflow reads as unconverged
-    with np.errstate(over="ignore"):
-        return float(np.linalg.norm(w / w[pivot] - w_prev / w_prev[pivot]))
-
-
-def wf_iterate(system, w0, cfg):
+def wf_iterate(system, w0, cfg, done=()):
     """Repeated WF steps from w0; error of w0 itself is recorded as entry 0.
 
     The pivot is chosen once from w0 (index 0 unless that entry is
@@ -152,20 +205,66 @@ def wf_iterate(system, w0, cfg):
     error (its denominator vanishes at an active sample, or the residual
     overflows) ends the iteration: there is nothing to linearize around, and
     the best earlier iterate is returned, unconverged.
+
+    `done` holds iterates of this run that the caller evaluated already:
+    the Iterate of w0, optionally followed by that of ``wf_step(system,
+    w0)``. The run continues from them with the same bits as from w0.
     """
     w0 = np.asarray(w0, dtype=complex)
     pivot = _choose_pivot(w0)
-    n, d, err = system.evaluate(w0)
-    iterates, errors = [w0], [err]
     converged = False
-    while len(iterates) <= cfg.p_max and np.isfinite(errors[-1]):
-        w = _linearized_step(system, n, d, pivot)
-        n, d, err = system.evaluate(w)
-        iterates.append(w)
-        errors.append(err)
-        # not on an iterate of infinite error: it may hold inf entries, and the loop ends there
-        if np.isfinite(err) and _pivot_normalized_diff(w, iterates[-2], pivot) < cfg.tol_wf:
-            converged = True
-            break
-    best = int(np.argmin(errors))
-    return RefineResult(iterates[best], np.asarray(errors), converged, best, iterates[-1])
+    with np.errstate(**IGNORE):
+        iterates = [done[0] if done else _evaluate(system, w0)]
+        u_prev = None  # the last iterate over its pivot entry, once needed
+        while len(iterates) <= cfg.p_max and math.isfinite(iterates[-1].err):
+            last = iterates[-1]
+            if len(iterates) < len(done):
+                it = done[len(iterates)]
+            else:
+                it = _evaluate(system, _linearized_step(system, last.n, last.d, pivot))
+            iterates.append(it)
+            # not on an iterate of infinite error: it may hold inf entries,
+            # and the loop ends there; w[pivot] != 0 (_choose_pivot, WF pins
+            # it), and an overflow reads as unconverged
+            if math.isfinite(it.err):
+                if u_prev is None:
+                    u_prev = last.weights / last.weights[pivot]
+                u = it.weights / it.weights[pivot]
+                if _norm(u - u_prev) < cfg.tol_wf:
+                    converged = True
+                    break
+                u_prev = u
+    return _result(iterates, converged)
+
+
+def refit(system, work, start, cfg):
+    """Refine the weights of the supports of `system`, the LevySystem of the
+    work set `work` (whose interpolated samples are its supports), from the
+    weights `start`; returns (weights, branch, residuals, start_residuals).
+
+    Runs SK, takes one WF step from `start`, and runs WF from the better of
+    the two by raw active squared error: from SK's best iterate (branch
+    "wf-from-sk") or, on a tie or when SK is worse, from `start`
+    ("wf-from-prev"), continuing from that step. A start whose denominator
+    vanishes at an active sample has no step, and error inf. `weights` is
+    the WF run's best iterate; the two residual triples are
+    ``aaa._full_residuals`` of `weights` and of `start` over `work`, made
+    from the iterates' own evaluations. Acceptance is the caller's.
+    """
+    start = np.asarray(start, dtype=complex)
+    sk = sk_iterate(system, cfg)
+    with np.errstate(**IGNORE):
+        prev = _evaluate(system, start)
+        try:
+            done = (prev, _evaluate(system, wf_step(system, start, prev)))
+        except NumericalError:  # d(z_i; start) = 0 at an active sample
+            done = (prev,)
+    if sk.best.err < (done[1].err if len(done) == 2 else np.inf):
+        run, branch = wf_iterate(system, sk.weights, cfg, (sk.best,)), "wf-from-sk"
+    else:
+        run, branch = wf_iterate(system, start, cfg, done), "wf-from-prev"
+    best = run.best
+    residuals = _full_residuals(system, work, best.weights, best)
+    # a run that kept its start shares the triple, not a second model evaluation
+    reference = residuals if best is prev else _full_residuals(system, work, start, prev)
+    return best.weights, branch, residuals, reference

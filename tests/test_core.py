@@ -157,6 +157,23 @@ def test_eval_next_to_a_support_drops_supports_too_far_to_count():
         assert model(1e-320) == 3 - 4j
 
 
+def test_eval_where_z_minus_a_support_overflows_keeps_every_term():
+    """Supports +-L with L = 1e308, values 1 and 2 and weights 1 give
+    r(z) = 3/2 + 1 / (2z/L). Where z - lambda overflows, or both of its parts
+    reach 2^1023 so that numpy's complex reciprocal of it does, a term was
+    dropped (r = 2 at 1.5e308); the points and supports scaled by 2^-2 give
+    the ratio, and the supports their values."""
+    L = 1e308
+    model = RationalModel.barycentric([-L, L], [1.0, 2.0], [1.0, 1.0])
+    z = np.array([1.5e308, -1.7e308, 1e308j, 1e308 + 1e308j, -L, L])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = model(z)
+        assert model(1.5e308) == got[0]
+    assert_allclose(got[:4], 1.5 + 0.5 / (z[:4] / L), rtol=4 * EPS)
+    assert got[4] == 1.0 and got[5] == 2.0
+
+
 def test_constant_model_evaluates_everywhere():
     model = RationalModel.barycentric([0.0], [3 - 2j], [1.0])
     assert_allclose(model(17.0), 3 - 2j, rtol=4 * EPS)

@@ -14,11 +14,11 @@ from baryfit import (
     sample_builtin,
 )
 from baryfit import nlaaa, refine
-from baryfit.aaa import levy_weights
+from baryfit.aaa import _full_residuals, levy_weights
 from baryfit.core import NumericalError, PoleAtPointError
-from baryfit.linalg import assemble_levy_system
+from baryfit.linalg import LevySystem, assemble_levy_system
 from baryfit.nlaaa import fallback_greedy, full_squared_error, select_weights
-from baryfit.refine import wf_iterate
+from baryfit.refine import sk_iterate, wf_iterate, wf_step
 from helpers import (
     count_assemblies,
     rational_samples,
@@ -91,7 +91,7 @@ def test_select_weights_never_worsens_an_exact_previous_model():
     prev_err = full_squared_error(system, w_prev_ext, data)
     assert prev_err < 1e-20
 
-    weights, branch = select_weights(system, data, w_prev_ext, NlaaaConfig(max_degree=5))
+    weights, branch, _ = select_weights(system, data, w_prev_ext, NlaaaConfig(max_degree=5))
     assert branch in BRANCHES - {"levy"}
     err = full_squared_error(system, weights, data)
     assert err <= prev_err
@@ -102,18 +102,18 @@ def test_select_weights_falls_back_when_wf_returns_its_start(monkeypatch):
     """A step whose WF run returns its own start, w_prev_ext, ties its one
     reference bit for bit, so it reports the fallback and keeps the bytes of
     w_prev_ext."""
-    original_wf, original_select = nlaaa.wf_iterate, nlaaa.select_weights
+    original_wf, original_select = refine.wf_iterate, nlaaa.select_weights
     runs, ties = [], []
 
-    def recording_wf(system, w0, cfg):
-        run = original_wf(system, w0, cfg)
+    def recording_wf(system, w0, cfg, done=()):
+        run = original_wf(system, w0, cfg, done)
         runs.append((np.asarray(w0).tobytes(), run.weights.tobytes()))
         return run
 
     def checked_select(system, data, w_prev_ext, cfg):
         runs.clear()
         out = original_select(system, data, w_prev_ext, cfg)
-        weights, branch = out
+        weights, branch, _ = out
         [(start, returned)] = runs
         if start == returned == w_prev_ext.tobytes():
             assert branch == "fallback"
@@ -121,7 +121,7 @@ def test_select_weights_falls_back_when_wf_returns_its_start(monkeypatch):
             ties.append(system.supports.size)
         return out
 
-    monkeypatch.setattr(nlaaa, "wf_iterate", recording_wf)
+    monkeypatch.setattr(refine, "wf_iterate", recording_wf)
     monkeypatch.setattr(nlaaa, "select_weights", checked_select)
     nlaaa_fit(sample_builtin("relu", 101), NlaaaConfig(max_degree=12, tol=0.0))
     assert ties
@@ -140,8 +140,9 @@ def _model_squared_error(model, data):
 def test_every_nlaaa_model_evaluates_as_its_copy_without_zero_weights(monkeypatch):
     """Each candidate and each zero-extended previous model of an NL-AAA fit
     evaluates at the samples bit for bit as the same model without its
-    zero-weight supports, and full_squared_error, which scores it on the
-    step's system, equals that model's squared error bit for bit."""
+    zero-weight supports, and full_squared_error, which scores it from the
+    residuals the refinement handed back, equals that model's squared error
+    and its own score from scratch bit for bit."""
     data = sample_builtin("abs", 501)
     original_score = nlaaa.full_squared_error
     zero_weights, scored = [], []
@@ -154,10 +155,11 @@ def test_every_nlaaa_model_evaluates_as_its_copy_without_zero_weights(monkeypatc
         assert whole(data.points).tobytes() == compact(data.points).tobytes()
         return compact
 
-    def checked_score(system, weights, work):
-        got = original_score(system, weights, work)
+    def checked_score(system, weights, work, residuals):
+        got = original_score(system, weights, work, residuals)
         compact = check(system.supports, system.interp_values, weights)
         assert got == _model_squared_error(compact, work)
+        assert got == original_score(system, weights, work)
         scored.append(bool(weights.all()))
         return got
 
@@ -182,10 +184,10 @@ def test_each_fit_step_assembles_one_system(monkeypatch):
 
 
 def test_wf_from_prev_continues_the_one_step_wf(monkeypatch):
-    """On a wf-from-prev step the WF run from w_prev_ext repeats the one-step
-    WF that select_weights took, so the step solves one least-squares problem
-    per WF iterate plus that one, and its weights are those of wf_iterate
-    from w_prev_ext."""
+    """On a wf-from-prev step the WF run from w_prev_ext continues from the
+    one-step WF that select_weights took, so the step solves one
+    least-squares problem per WF iterate after the start, and its weights
+    are those of wf_iterate from w_prev_ext."""
     solves = []
     original_lsq = refine.pivoted_weighted_lsq
     original_select = nlaaa.select_weights
@@ -198,11 +200,11 @@ def test_wf_from_prev_continues_the_one_step_wf(monkeypatch):
     def checked_select(system, data, w_prev_ext, cfg):
         solves.clear()
         out = original_select(system, data, w_prev_ext, cfg)
-        weights, branch = out
+        weights, branch, _ = out
         if branch == "wf-from-prev":
             made = len(solves)
             want = wf_iterate(system, w_prev_ext, cfg.refine)
-            assert made == len(want.errors)
+            assert made == len(want.errors) - 1
             assert weights.tobytes() == want.weights.tobytes()
             from_prev.append(made)
         return out
@@ -216,11 +218,11 @@ def test_wf_from_prev_continues_the_one_step_wf(monkeypatch):
 def test_wf_iterate_runs_once_per_select_weights_call(monkeypatch):
     """Every WF run, wf-from-prev included, goes through wf_iterate."""
     calls = []
-    for name in ("select_weights", "wf_iterate"):
-        def counted(*args, name=name, original=getattr(nlaaa, name), **kwargs):
+    for module, name in ((nlaaa, "select_weights"), (refine, "wf_iterate")):
+        def counted(*args, name=name, original=getattr(module, name), **kwargs):
             calls.append(name)
             return original(*args, **kwargs)
-        monkeypatch.setattr(nlaaa, name, counted)
+        monkeypatch.setattr(module, name, counted)
     _, trace = nlaaa_fit(sample_builtin("relu", 501), NlaaaConfig(max_degree=14, tol=0.0))
     assert calls == ["select_weights", "wf_iterate"] * (len(trace.records) - 1)
     assert any(r.branch == "wf-from-prev" for r in trace.records)
@@ -242,7 +244,21 @@ def _recording_select(monkeypatch):
     return weights, branches
 
 
-@pytest.mark.parametrize("case", ["rational", "imaginary_axis", "builtin", "zero_weight"])
+FIT_CASES = ["rational", "imaginary_axis", "builtin", "zero_weight"]
+
+
+def _fit_case(case):
+    """(data, max_degree) of one of FIT_CASES."""
+    rng = np.random.default_rng(17)
+    return {
+        "rational": lambda: (rational_samples(rng, 6, 201), 10),
+        "imaginary_axis": lambda: (transfer_samples(rng, 5, 60), 14),
+        "builtin": lambda: (sample_builtin("abs", 201), 16),
+        "zero_weight": lambda: (sample_builtin("relu", 201), 40),
+    }[case]()
+
+
+@pytest.mark.parametrize("case", FIT_CASES)
 def test_every_nlaaa_row_equals_the_metrics_of_its_model(monkeypatch, case):
     """Each row's l2/linf equal metrics(model_k, data) bit for bit, under
     both fallback modes: every row takes them from its own weights, from
@@ -250,13 +266,7 @@ def test_every_nlaaa_row_equals_the_metrics_of_its_model(monkeypatch, case):
     evaluates as the previous model. The zero_weight fit in probabilistic
     mode accepts candidates with an exact zero weight, the steps whose
     metrics come from evaluating the model; the builtin fit falls back."""
-    rng = np.random.default_rng(17)
-    data, degree = {
-        "rational": lambda: (rational_samples(rng, 6, 201), 10),
-        "imaginary_axis": lambda: (transfer_samples(rng, 5, 60), 14),
-        "builtin": lambda: (sample_builtin("abs", 201), 16),
-        "zero_weight": lambda: (sample_builtin("relu", 201), 40),
-    }[case]()
+    data, degree = _fit_case(case)
     weights, branches = _recording_select(monkeypatch)
     for mode in ("probabilistic", "relative"):
         del weights[1:], branches[:]
@@ -276,17 +286,18 @@ def test_every_nlaaa_row_equals_the_metrics_of_its_model(monkeypatch, case):
 def test_each_nlaaa_step_evaluates_its_reference_and_zero_weight_candidates(monkeypatch):
     """select_weights builds and evaluates one model at every sample, its
     zero-extended reference, plus one for a candidate with an exact zero
-    weight; any other candidate is scored on the step's system. The loop
-    takes every row's metrics from its own weights, so it evaluates one
-    model per fallback step, whose weights end in a zero, and otherwise
-    builds only the model it returns: this fit accepts no candidate with a
-    zero weight, and 4 of its 14 steps fall back."""
+    weight other than that reference (a WF run from the reference may keep
+    it); any other candidate is scored on the step's system. The loop
+    takes every row's metrics from the residuals select_weights hands back,
+    a fallback's too, so it evaluates no model and builds only the one it
+    returns: 4 of this fit's 14 steps fall back, and its only candidates
+    with a zero weight are the starts that their WF runs kept."""
     data = sample_builtin("relu", 501)
     built, evaluated = [], []
     inside = []
-    zero_candidates = []
+    references, zero_candidates, kept_start = [], [], []
     original_init, original_call = RationalModel.__init__, RationalModel.__call__
-    original_select, original_wf = nlaaa.select_weights, nlaaa.wf_iterate
+    original_select, original_wf = nlaaa.select_weights, refine.wf_iterate
 
     def counted_init(self, *args, **kwargs):
         built.append(bool(inside))
@@ -298,6 +309,7 @@ def test_each_nlaaa_step_evaluates_its_reference_and_zero_weight_candidates(monk
 
     def marked_select(*args):
         inside.append(1)
+        references.append(args[2].tobytes())
         try:
             return original_select(*args)
         finally:
@@ -305,22 +317,95 @@ def test_each_nlaaa_step_evaluates_its_reference_and_zero_weight_candidates(monk
 
     def recording_wf(*args):
         run = original_wf(*args)
-        zero_candidates.append(not run.weights.all())
+        kept_start.append(run.weights.tobytes() == references[-1])
+        zero_candidates.append(not run.weights.all() and not kept_start[-1])
         return run
 
     monkeypatch.setattr(RationalModel, "__init__", counted_init)
     monkeypatch.setattr(RationalModel, "__call__", counted_call)
     monkeypatch.setattr(nlaaa, "select_weights", marked_select)
-    monkeypatch.setattr(nlaaa, "wf_iterate", recording_wf)
+    monkeypatch.setattr(refine, "wf_iterate", recording_wf)
     _, trace = nlaaa_fit(data, NlaaaConfig(max_degree=14, tol=0.0))
     fallbacks = [rec.branch == "fallback" for rec in trace.records[1:]]
     assert len(fallbacks) == 14 == len(zero_candidates)
-    assert any(zero_candidates) and sum(fallbacks) == 4
-    per_step = [[True] * (1 + zero) + [False] * fallback
-                for zero, fallback in zip(zero_candidates, fallbacks)]
-    inside_flags = [flag for step in per_step for flag in step]
+    assert sum(fallbacks) == 4 and kept_start == fallbacks
+    inside_flags = [True] * sum(1 + zero for zero in zero_candidates)
     assert evaluated == [(flag, data.size) for flag in inside_flags]
     assert built == inside_flags + [False]
+
+
+def _select_from_scratch(system, data, w_prev_ext, cfg):
+    """select_weights composed of the public pieces, each from plain
+    weights: SK, the one-step WF from w_prev_ext, the WF run from the
+    better of the two, and both full-data scores computed afresh."""
+    sk = sk_iterate(system, cfg.refine)
+    try:
+        err_w1 = system.residual_sq_sum(wf_step(system, w_prev_ext))
+    except NumericalError:
+        err_w1 = np.inf
+    if float(np.min(sk.errors)) < err_w1:
+        start, branch = sk.weights, "wf-from-sk"
+    else:
+        start, branch = w_prev_ext, "wf-from-prev"
+    run = wf_iterate(system, start, cfg.refine)
+    if full_squared_error(system, run.weights, data) < full_squared_error(system, w_prev_ext, data):
+        return run.weights, branch
+    return w_prev_ext, "fallback"
+
+
+@pytest.mark.parametrize("case", FIT_CASES)
+def test_select_weights_is_its_composition_from_scratch_bit_for_bit(monkeypatch, case):
+    """At every step of a fit, under both fallback modes, select_weights
+    returns the bytes and branch of the composition from scratch, and the
+    residuals it hands the loop are those of _full_residuals from scratch.
+    Every fit runs WF from SK; the builtin ones also from the previous
+    weights."""
+    data, degree = _fit_case(case)
+    original, original_refit = nlaaa.select_weights, nlaaa.refit
+    runs = []
+
+    def recording_refit(*args):
+        out = original_refit(*args)
+        runs.append(out[1])
+        return out
+
+    def checked(system, work, w_prev_ext, cfg):
+        out = original(system, work, w_prev_ext, cfg)
+        weights, branch, residuals = out
+        want, want_branch = _select_from_scratch(system, work, w_prev_ext, cfg)
+        assert (weights.tobytes(), branch) == (want.tobytes(), want_branch)
+        raw, res, full = _full_residuals(system, work, want)
+        assert residuals[0] == raw
+        assert residuals[1].tobytes() == res.tobytes()
+        assert residuals[2].tobytes() == full.tobytes()
+        return out
+
+    monkeypatch.setattr(nlaaa, "select_weights", checked)
+    monkeypatch.setattr(nlaaa, "refit", recording_refit)
+    for mode in ("probabilistic", "relative"):
+        nlaaa_fit(data, NlaaaConfig(max_degree=degree, tol=0.0, fallback_mode=mode))
+    assert "wf-from-sk" in runs
+    assert ("wf-from-prev" in runs) == (case in ("builtin", "zero_weight"))
+
+
+def test_no_weight_vector_is_evaluated_twice_on_one_system(monkeypatch):
+    """Each weight vector of an NL-AAA step is evaluated on the step's
+    LevySystem once: SK's best iterate starts its WF run, the run from the
+    previous weights continues from the one-step WF, and the scores and the
+    loop take the residuals of those evaluations."""
+    original = LevySystem.numerators
+    evaluated = {}  # id(system) -> (system, [weight bytes])
+
+    def counted(self, W):
+        evaluated.setdefault(id(self), (self, []))[1].append(W.tobytes())
+        return original(self, W)
+
+    monkeypatch.setattr(LevySystem, "numerators", counted)
+    _, trace = nlaaa_fit(sample_builtin("relu", 501), NlaaaConfig(max_degree=14, tol=0.0))
+    assert len(evaluated) == len(trace.records) == 15
+    calls = [keys for _, keys in evaluated.values()]
+    assert sum(map(len, calls)) > 15
+    assert sum(len(keys) - len(set(keys)) for keys in calls) == 0
 
 
 def test_fallback_greedy_probabilistic_matches_residual_distribution():

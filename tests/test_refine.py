@@ -8,7 +8,12 @@ from baryfit import FitConfig, NlaaaConfig, SampleSet, aaa_fit, nlaaa_fit, sampl
 from baryfit.aaa import levy_weights
 from baryfit.core import NumericalError
 from baryfit.gradients import error_wf_step, grad_nonlinear
-from baryfit.linalg import LevySystem, assemble_levy_system
+from baryfit.linalg import (
+    LevySystem,
+    assemble_levy_system,
+    denominator_weighting,
+    pivoted_weighted_lsq,
+)
 from baryfit.nlaaa import select_weights
 from baryfit.refine import RefineConfig, nonzero_denominators, sk_iterate, wf_iterate, wf_step
 from helpers import distinct_complex, random_instance, rationals, unit_grid
@@ -146,6 +151,24 @@ def test_wf_step_minimizes_the_linearized_objective():
         assert best <= trial * (1.0 + 1e-10) + 1e-20
 
 
+@pytest.mark.parametrize("first", [1.0, 1e-14])
+def test_wf_step_is_the_solve_on_the_shifted_numerator_matrix_bit_for_bit(first):
+    """wf_step forms P - diag(n/d) C split at its pivot from the system's
+    pinned columns: the same bits as the solve on the whole matrix, for
+    pivot 0 and for the largest entry when entry 0 is negligible."""
+    rng = np.random.default_rng(61)
+    supports, interp, data = random_instance(rng, 7, 150)
+    system = _system_for(supports, interp, data)
+    for _ in range(5):
+        w = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        w[0] *= first
+        n, d = system.numerators(w), system.denominators(w)
+        pivot = 0 if first == 1.0 else int(np.argmax(np.abs(w)))
+        F = system.shifted_numerator_matrix(n / d)
+        want = pivoted_weighted_lsq(denominator_weighting(d), F, -n + d * system.data_values, pivot)
+        assert wf_step(system, w).tobytes() == want.tobytes()
+
+
 def test_wf_iterate_exact_start_converges_immediately():
     supports, interp, data = _exact_instance()
     w0 = levy_weights(data.levy_system(supports, interp))
@@ -219,7 +242,7 @@ def test_select_weights_survives_a_previous_model_with_a_pole_at_a_sample():
     interp = work.values[picked]
     w_prev_ext = np.array([1.0, 1.0, 0.0], dtype=complex)
     cfg = NlaaaConfig(max_degree=2)
-    weights, branch = select_weights(_system_for(supports, interp, work), work, w_prev_ext, cfg)
+    weights, branch, _ = select_weights(_system_for(supports, interp, work), work, w_prev_ext, cfg)
     assert branch == "wf-from-sk"
     system = _system_for(supports, interp, work)
     assert np.isfinite(system.residual_sq_sum(weights))
