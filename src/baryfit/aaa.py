@@ -83,20 +83,25 @@ def levy_weights(system):
     return min_unit_norm_solution(levy_matrix(system))
 
 
-def _full_residuals(system, work, w, evaluated=None):
+def _full_residuals(system, work, w, evaluated=None, full=None):
     """(raw, res, full) of weights `w` on the step's system and work set:
     the active squared error, the residuals |r - H| at the active samples
     (nan mapped to inf, so a pole at a sample ranks first and the step's
     metrics read inf) and those at every sample, zero at a support of
     nonzero weight, which r interpolates exactly. `evaluated`, an earlier
     evaluation of `w` on the system with fields `err` and `res` (a
-    ``refine.Iterate``), saves evaluating it again.
+    ``refine.Iterate``), saves evaluating it again, and `full`, the
+    residuals of `w` at every sample when the caller holds them already,
+    saves making them again where both are finite.
 
     `full` equals the residuals of the model's own evaluation bit for bit
     as long as the system's products sum as the model's do. Two rare cases
     sum in another order, and there the model itself is evaluated: a zero
     weight, which drops out of the model but not of the system, and a
-    single active sample, whose product numpy takes as a dot.
+    single active sample, whose product numpy takes as a dot. A given
+    `full` that is not finite is made again: after a pole at a sample it
+    reads inf there, and once that sample is a support of zero weight the
+    model raises and every residual reads inf.
     """
     if evaluated is None:
         res = np.empty(work.active_count)
@@ -104,9 +109,12 @@ def _full_residuals(system, work, w, evaluated=None):
     else:
         raw, res = evaluated.err, evaluated.res.copy()
     res[np.isnan(res)] = np.inf
+    finite = np.isfinite(res).all()
+    if finite and full is not None and np.isfinite(full).all():
+        return raw, res, full
     full = np.zeros(work.size)
     full[work.active_mask] = res
-    if not np.isfinite(res).all() or (work.active_count > 1 and w.all()):
+    if not finite or (work.active_count > 1 and w.all()):
         return raw, res, full
     try:
         r = RationalModel.barycentric(system.supports, system.interp_values, w)(work.points)
@@ -118,18 +126,18 @@ def _full_residuals(system, work, w, evaluated=None):
 def _greedy_fit(data, cfg, choose_index, choose_weights):
     """The greedy loop of AAA and NL-AAA; returns (model, trace).
 
-    The loop carries `res`, |r - H| at the active samples for the current
-    model r (nan mapped to inf, so a pole at a sample ranks first); the
-    constant mean of the values starts it. Each step promotes
-    `choose_index(res, work, branch)` to a support (`branch` is that of the
-    step that made r, None at the start), builds the step's LevySystem, and
-    takes `(weights, branch, residuals) = choose_weights(w_prev, work,
-    system)` for the previous weights w_prev, `residuals` the
-    _full_residuals triple of the weights; the first step's weight is 1,
-    whose triple the loop makes. That triple of the new weights, a
-    fallback's zero-extended ones too, gives the stopping error, the next
-    `res` and trace metrics equal to `metrics(model, work)` bit for bit, so
-    nothing is carried between steps; apart from the rare steps
+    The loop carries `res` and `full`, |r - H| at the active samples and
+    at every sample for the current model r (nan mapped to inf, so a pole
+    at a sample ranks first); the constant mean of the values starts `res`.
+    Each step promotes `choose_index(res, work, branch)` to a support
+    (`branch` is that of the step that made r, None at the start), builds
+    the step's LevySystem, and takes `(weights, branch, residuals) =
+    choose_weights(w_prev, full, work, system)` for the previous weights
+    w_prev, `residuals` the _full_residuals triple of the weights; the
+    first step's weight is 1, whose triple the loop makes. That triple of
+    the new weights, a fallback's zero-extended ones too, gives the
+    stopping error, the next `res` and `full` and trace metrics equal to
+    `metrics(model, work)` bit for bit; apart from the rare steps
     _full_residuals names, no model is built or evaluated for them.
 
     The loop fits H / 2^e, with e chosen so that max|H| / 2^e lies in
@@ -163,7 +171,7 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
             w, branch = np.ones(1, dtype=complex), "levy"
             raw, res, full = _full_residuals(system, work, w)
         else:
-            w, branch, (raw, res, full) = choose_weights(w, work, system)
+            w, branch, (raw, res, full) = choose_weights(w, full, work, system)
         try:
             raw = math.ldexp(raw, 2 * e)
         except OverflowError:
@@ -187,7 +195,7 @@ def aaa_fit(data, cfg):
     `budget_exhausted` is set when the tolerance was not reached before the
     degree budget (or the data) ran out.
     """
-    def choose_weights(w_prev, work, system):
+    def choose_weights(w_prev, full_prev, work, system):
         w = levy_weights(system)
         return w, "levy", _full_residuals(system, work, w)
 

@@ -251,6 +251,10 @@ class RationalModel:
         plain formula. Where the parts of the points and supports are large
         enough for z - lambda or its reciprocal to overflow, which would drop
         a term, all of them are scaled by 2^-2 first: the ratio is invariant.
+        With small supports only the points can be that large, and a point
+        whose every reciprocal dropped reads a zero denominator: a point
+        where it is zero is evaluated again at 2^-2, and only a denominator
+        that stays zero, a pole, raises.
 
         Points are processed in row blocks of about 64 KB of Cauchy entries,
         so the temporaries of a call stay small whatever the number of
@@ -291,9 +295,10 @@ class RationalModel:
                 np.matmul(cauchy, hw, out=num[start:stop])
                 np.matmul(cauchy, w, out=den[start:stop])
             r = num / den
-            # num . den is not finite where an entry of either is not, nor
-            # where num and den are large enough to overflow inside num / den
-            if not cmath.isfinite(num.dot(den)):
+            # r . den is not finite where an entry of either is not: where
+            # den is not, and where num / den overflows, inside numpy's
+            # complex division too (a subnormal den or large num and den)
+            if not cmath.isfinite(r.dot(den)):
                 near = ~np.isfinite(den)
                 near |= ~np.isfinite(r) & (den != 0)
                 near[hit_row] = False
@@ -304,8 +309,12 @@ class RationalModel:
         r[hit_row] = h[hit_col]
         bad[hit_row] = False
         if np.any(bad):
-            where = zv[np.nonzero(bad)[0][0]]
-            raise PoleAtPointError("denominator vanishes at z = %s" % where)
+            bad = np.flatnonzero(bad)
+            num_bad, den_bad = self._quartered(x[bad], lam)
+            if not den_bad.all():
+                where = zv[bad[np.flatnonzero(den_bad == 0)[0]]]
+                raise PoleAtPointError("denominator vanishes at z = %s" % where)
+            r[bad] = num_bad / den_bad
         if scalar_in:
             return complex(r[0])
         return r.reshape(np.shape(z))
@@ -327,6 +336,22 @@ class RationalModel:
         cauchy.imag /= nearest
         np.divide(1.0, cauchy, out=cauchy)
         cauchy[np.isnan(cauchy)] = 0
+        return cauchy @ hw, cauchy @ w
+
+    def _quartered(self, zv, lam):
+        """(num, den) at points off the live supports `lam`, with the points
+        and supports scaled by 2^-2, which leaves their ratio as it is.
+
+        Where the real and imaginary parts of z - lambda both reach about
+        2^1023, the denominator of numpy's complex reciprocal (Smith's
+        algorithm) overflows, and the reciprocal reads 0: a point that large
+        reads den = 0 unscaled. A true pole stays one, since a power-of-two
+        scale is exact.
+        """
+        _, _, w, hw = self._live
+        x, lam = (np.ldexp(a.view(float), -2).view(complex) for a in (zv, lam))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            cauchy = 1.0 / (x[:, None] - lam[None, :])
         return cauchy @ hw, cauchy @ w
 
     def _support_hits(self, zv):

@@ -196,7 +196,8 @@ def denominator_weighting(denominator_values):
     top = float(mags.max())
     if top == 0.0 or not math.isfinite(top):
         raise ValueError("denominator is zero or non-finite on every sample")
-    return 1.0 / np.maximum(mags, max(_EPS * top, 1e-300))
+    np.maximum(mags, max(_EPS * top, 1e-300), out=mags)
+    return np.divide(1.0, mags, out=mags)
 
 
 def pivoted_weighted_lsq(row_weights, F, b, pivot=0, pinned=None):
@@ -206,7 +207,8 @@ def pivoted_weighted_lsq(row_weights, F, b, pivot=0, pinned=None):
     found by a rank-revealing LAPACK least-squares solve (minimum-norm
     solution under rank deficiency); a single column leaves none free.
     A caller that has split F at the pivot already passes column `pivot` as
-    `pinned` and F without it.
+    `pinned` and F without it; F and b are then its scratch arrays, which
+    the solve scales in place.
     """
     F = np.asarray(F, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -216,5 +218,12 @@ def pivoted_weighted_lsq(row_weights, F, b, pivot=0, pinned=None):
         raise ValueError("pivot %d out of range for %d columns" % (pivot, k))
     if pinned is None:
         F, pinned = np.delete(F, pivot, axis=1), F[:, pivot]
-    sol = np.linalg.lstsq(F * d[:, None], d * (b - pinned), rcond=None)[0]
+        b = b - pinned
+    else:
+        b -= pinned
+    # in the operand order of F * d and d * (b - pinned): the AVX-512 complex
+    # product rounds x*y and y*x apart (see core._BLOCK)
+    F *= d[:, None]
+    np.multiply(d, b, out=b)
+    sol = np.linalg.lstsq(F, b, rcond=None)[0]
     return np.concatenate((sol[:pivot], [1.0], sol[pivot:]))

@@ -9,9 +9,11 @@ that does not beat it on the full data set. A zero weight drops out of
 model evaluation, so the zero-extended previous weights evaluate bit for
 bit as the previous model and are the one reference of that test, which
 scores both weight vectors by the ``aaa._full_residuals`` triples that
-refit hands back; the loop takes the winner's triple, the route every
-trace row, a fallback's too, takes its metrics by, and computes none
-again. The fallback makes the reported full-data error
+refit hands back. The reference's residuals at every sample are the
+previous model's, which the loop carries, so it evaluates no model for
+them. The loop takes the winner's triple, the route every trace row, a
+fallback's too, takes its metrics by, and computes none again. The
+fallback makes the reported full-data error
 provably non-increasing; the step after a fallback ranks the loop's active
 residuals |r - H| with a probabilistic or relative-error variant of the
 greedy selection, so the same support choice cannot stall the iteration
@@ -72,7 +74,7 @@ def full_squared_error(system, weights, data, residuals=None):
     return np.inf if np.isnan(total) else total
 
 
-def select_weights(system, data, w_prev_ext, cfg):
+def select_weights(system, data, w_prev_ext, cfg, prev_full=None):
     """Pick the weight vector for one NL-AAA step; returns (weights, branch,
     residuals), the last the ``aaa._full_residuals`` triple of the weights.
 
@@ -85,11 +87,13 @@ def select_weights(system, data, w_prev_ext, cfg):
     evaluates bit for bit as the previous model (a model evaluates over its
     nonzero weights only), so this one comparison is against the error
     recorded for the previous model, and accepted errors strictly fall.
-    Both scores come from the triples refit made, for which the reference
-    evaluated a model, the candidate rarely.
+    Both scores come from the triples refit made. `prev_full`, the previous
+    model's residuals at every sample, which the loop carries, are the
+    reference's, so it evaluates no model; a candidate rarely does.
     """
     w_prev_ext = np.asarray(w_prev_ext, dtype=complex)
-    weights, branch, residuals, reference = refit(system, data, w_prev_ext, cfg.refine)
+    weights, branch, residuals, reference = refit(
+        system, data, w_prev_ext, cfg.refine, prev_full)
     if (full_squared_error(system, weights, data, residuals)
             < full_squared_error(system, w_prev_ext, data, reference)):
         return weights, branch, residuals
@@ -143,7 +147,7 @@ def nlaaa_fit(data, cfg):
             return fallback_greedy(res, work, cfg.fallback_mode, rng)
         return greedy_select(res, work)
 
-    def choose_weights(w_prev, work, system):
-        return select_weights(system, work, np.append(w_prev, 0.0), cfg)
+    def choose_weights(w_prev, full_prev, work, system):
+        return select_weights(system, work, np.append(w_prev, 0.0), cfg, full_prev)
 
     return _greedy_fit(data, cfg, choose_index, choose_weights)

@@ -122,13 +122,15 @@ def sk_iterate(system, cfg):
     after phase alignment; always returns the best-error iterate.
     """
     L = levy_matrix(system)
+    scaled = np.empty_like(L)  # L reweighted, in one buffer per run
     w_prev = np.zeros(system.interp_values.size, dtype=complex)
     dvals = np.ones(system.data_values.size, dtype=complex)
     iterates = []
     converged = False
     with np.errstate(**IGNORE):
         for _ in range(cfg.p_max):
-            w = min_unit_norm_solution(L * denominator_weighting(dvals)[:, None])
+            np.multiply(L, denominator_weighting(dvals)[:, None], out=scaled)
+            w = min_unit_norm_solution(scaled)
             it = _evaluate(system, w)
             iterates.append(it)
             dvals = it.d
@@ -187,13 +189,18 @@ def _linearized_step(system, n_prev, d_prev, pivot):
     """:func:`wf_step` from n(z_i; w_prev) and d(z_i; w_prev), d nonzero.
 
     The matrix P - diag(n/d) C is formed from the system's pinned-column
-    split of P and C, bit for bit as ``shifted_numerator_matrix``'s."""
+    split of P and C, bit for bit as ``shifted_numerator_matrix``'s, and
+    the right-hand side d H - n as -n + d H; each in one array, which the
+    solve then scales in place."""
     P_free, C_free, p, c = system.pinned_columns(pivot)
     a = n_prev / d_prev
     F = a[:, None] * C_free
     np.subtract(P_free, F, out=F)
-    b = -n_prev + d_prev * system.data_values
-    return pivoted_weighted_lsq(denominator_weighting(d_prev), F, b, pivot, p - a * c)
+    b = d_prev * system.data_values
+    b -= n_prev  # x - y is x + (-y), bit for bit
+    pinned = a * c
+    np.subtract(p, pinned, out=pinned)
+    return pivoted_weighted_lsq(denominator_weighting(d_prev), F, b, pivot, pinned)
 
 
 def wf_iterate(system, w0, cfg, done=()):
@@ -237,7 +244,7 @@ def wf_iterate(system, w0, cfg, done=()):
     return _result(iterates, converged)
 
 
-def refit(system, work, start, cfg):
+def refit(system, work, start, cfg, start_full=None):
     """Refine the weights of the supports of `system`, the LevySystem of the
     work set `work` (whose interpolated samples are its supports), from the
     weights `start`; returns (weights, branch, residuals, start_residuals).
@@ -249,7 +256,11 @@ def refit(system, work, start, cfg):
     vanishes at an active sample has no step, and error inf. `weights` is
     the WF run's best iterate; the two residual triples are
     ``aaa._full_residuals`` of `weights` and of `start` over `work`, made
-    from the iterates' own evaluations. Acceptance is the caller's.
+    from the iterates' own evaluations. `start_full`, the residuals of
+    `start` at every sample when the caller holds them (NL-AAA's
+    zero-extended start evaluates as the previous model, whose residuals
+    the loop carries), spares the start a model evaluation. Acceptance is
+    the caller's.
     """
     start = np.asarray(start, dtype=complex)
     sk = sk_iterate(system, cfg)
@@ -264,7 +275,7 @@ def refit(system, work, start, cfg):
     else:
         run, branch = wf_iterate(system, start, cfg, done), "wf-from-prev"
     best = run.best
-    residuals = _full_residuals(system, work, best.weights, best)
-    # a run that kept its start shares the triple, not a second model evaluation
-    reference = residuals if best is prev else _full_residuals(system, work, start, prev)
+    reference = _full_residuals(system, work, start, prev, start_full)
+    # a run that kept its start shares the triple
+    residuals = reference if best is prev else _full_residuals(system, work, best.weights, best)
     return best.weights, branch, residuals, reference

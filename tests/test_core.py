@@ -174,6 +174,40 @@ def test_eval_where_z_minus_a_support_overflows_keeps_every_term():
     assert got[4] == 1.0 and got[5] == 2.0
 
 
+def test_eval_where_the_denominator_is_subnormal_is_finite():
+    """Supports +-L with L = 1e308 give r(z) = 3/2 + L / (2z). At |z| = 1e300
+    the two terms of the denominator cancel to about 2e-316, a subnormal,
+    and numpy's complex division num / den overflows inside: those points
+    are evaluated again next to their nearest support. The cancellation
+    amplifies the rounding of z -+ L by L / |z| = 1e8, hence the band."""
+    L = 1e308
+    model = RationalModel.barycentric([-L, L], [1.0, 2.0], [1.0, 1.0])
+    z = np.array([1e300, 5e-324 + 1e300j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = model(z)
+    assert np.isfinite(got).all()
+    assert_allclose(got, 1.5 + L / (2 * z), rtol=4 * EPS * L / 1e300)
+
+
+def test_eval_where_both_parts_of_a_point_reach_2_to_the_1023():
+    """At z = 1e308 + 1e308j the denominator of numpy's reciprocal of every
+    z - lambda overflows, so each term reads 0 and so does d(z): the point
+    is evaluated again at 2^-2, r(z) = (8z - 3) / (2z - 1). A true pole in
+    the same call still raises, and an ordinary point keeps its bits."""
+    model = RationalModel.barycentric([0.0, 1.0], [3.0, 5.0], [1.0, 1.0])
+    z = np.array([1e308 + 1e308j, -1.7e308 - 1.7e308j, 0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = model(z)
+        assert model(1e308 + 1e308j) == got[0]
+        assert model(0.3) == got[2]
+    assert_allclose(got[:2], 4.0, rtol=4 * EPS)
+    # d(z) = 1/z + 1/(z - 1) vanishes at z = 1/2
+    with pytest.raises(PoleAtPointError, match=r"z = \(0\.5\+0j\)"):
+        model(np.array([1e308 + 1e308j, 0.5]))
+
+
 def test_constant_model_evaluates_everywhere():
     model = RationalModel.barycentric([0.0], [3 - 2j], [1.0])
     assert_allclose(model(17.0), 3 - 2j, rtol=4 * EPS)

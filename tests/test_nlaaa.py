@@ -110,9 +110,9 @@ def test_select_weights_falls_back_when_wf_returns_its_start(monkeypatch):
         runs.append((np.asarray(w0).tobytes(), run.weights.tobytes()))
         return run
 
-    def checked_select(system, data, w_prev_ext, cfg):
+    def checked_select(system, data, w_prev_ext, cfg, prev_full):
         runs.clear()
-        out = original_select(system, data, w_prev_ext, cfg)
+        out = original_select(system, data, w_prev_ext, cfg, prev_full)
         weights, branch, _ = out
         [(start, returned)] = runs
         if start == returned == w_prev_ext.tobytes():
@@ -197,9 +197,9 @@ def test_wf_from_prev_continues_the_one_step_wf(monkeypatch):
         solves.append(1)
         return original_lsq(*args)
 
-    def checked_select(system, data, w_prev_ext, cfg):
+    def checked_select(system, data, w_prev_ext, cfg, prev_full):
         solves.clear()
-        out = original_select(system, data, w_prev_ext, cfg)
+        out = original_select(system, data, w_prev_ext, cfg, prev_full)
         weights, branch, _ = out
         if branch == "wf-from-prev":
             made = len(solves)
@@ -234,8 +234,8 @@ def _recording_select(monkeypatch):
     weights, branches = [np.ones(1, dtype=complex)], []
     original = nlaaa.select_weights
 
-    def recording(system, work, w_prev_ext, cfg):
-        out = original(system, work, w_prev_ext, cfg)
+    def recording(system, work, w_prev_ext, cfg, prev_full):
+        out = original(system, work, w_prev_ext, cfg, prev_full)
         weights.append(out[0])
         branches.append(out[1])
         return out
@@ -283,15 +283,17 @@ def test_every_nlaaa_row_equals_the_metrics_of_its_model(monkeypatch, case):
         assert got == trace_metrics_replay(data, trace, weights)
 
 
-def test_each_nlaaa_step_evaluates_its_reference_and_zero_weight_candidates(monkeypatch):
-    """select_weights builds and evaluates one model at every sample, its
-    zero-extended reference, plus one for a candidate with an exact zero
-    weight other than that reference (a WF run from the reference may keep
-    it); any other candidate is scored on the step's system. The loop
-    takes every row's metrics from the residuals select_weights hands back,
-    a fallback's too, so it evaluates no model and builds only the one it
-    returns: 4 of this fit's 14 steps fall back, and its only candidates
-    with a zero weight are the starts that their WF runs kept."""
+def test_each_nlaaa_step_evaluates_only_its_zero_weight_candidates(monkeypatch):
+    """select_weights builds and evaluates no model for its zero-extended
+    reference, whose residuals at every sample are the previous model's,
+    which the loop carries. It builds and evaluates one for a candidate
+    with an exact zero weight other than that reference (a WF run from the
+    reference may keep it); any other candidate is scored on the step's
+    system. The loop takes every row's metrics from the residuals
+    select_weights hands back, a fallback's too, so it evaluates no model
+    and builds only the one it returns: 4 of this fit's 14 steps fall back,
+    and its only candidates with a zero weight are the starts that their WF
+    runs kept, so the fit evaluates no model at all."""
     data = sample_builtin("relu", 501)
     built, evaluated = [], []
     inside = []
@@ -329,8 +331,8 @@ def test_each_nlaaa_step_evaluates_its_reference_and_zero_weight_candidates(monk
     fallbacks = [rec.branch == "fallback" for rec in trace.records[1:]]
     assert len(fallbacks) == 14 == len(zero_candidates)
     assert sum(fallbacks) == 4 and kept_start == fallbacks
-    inside_flags = [True] * sum(1 + zero for zero in zero_candidates)
-    assert evaluated == [(flag, data.size) for flag in inside_flags]
+    inside_flags = [True] * sum(zero_candidates)
+    assert evaluated == [(flag, data.size) for flag in inside_flags] == []
     assert built == inside_flags + [False]
 
 
@@ -369,8 +371,8 @@ def test_select_weights_is_its_composition_from_scratch_bit_for_bit(monkeypatch,
         runs.append(out[1])
         return out
 
-    def checked(system, work, w_prev_ext, cfg):
-        out = original(system, work, w_prev_ext, cfg)
+    def checked(system, work, w_prev_ext, cfg, prev_full):
+        out = original(system, work, w_prev_ext, cfg, prev_full)
         weights, branch, residuals = out
         want, want_branch = _select_from_scratch(system, work, w_prev_ext, cfg)
         assert (weights.tobytes(), branch) == (want.tobytes(), want_branch)
@@ -386,6 +388,75 @@ def test_select_weights_is_its_composition_from_scratch_bit_for_bit(monkeypatch,
         nlaaa_fit(data, NlaaaConfig(max_degree=degree, tol=0.0, fallback_mode=mode))
     assert "wf-from-sk" in runs
     assert ("wf-from-prev" in runs) == (case in ("builtin", "zero_weight"))
+
+
+def _checking_refit(monkeypatch):
+    """Check every refit of an NL-AAA fit: the reference triple it returns,
+    of the zero-extended start, equals _full_residuals(system, work, start)
+    from scratch byte for byte, and its full residuals are the vector the
+    loop carried wherever that and the start's active residuals are finite.
+    Returns the list of whether each step's carried vector was finite."""
+    original = nlaaa.refit
+    carried_finite = []
+
+    def checked(system, work, start, cfg, start_full):
+        out = original(system, work, start, cfg, start_full)
+        raw, res, full = _full_residuals(system, work, start)
+        reference = out[3]
+        assert reference[0] == raw
+        assert reference[1].tobytes() == res.tobytes()
+        assert reference[2].tobytes() == full.tobytes()
+        finite = bool(np.isfinite(start_full).all())
+        assert (reference[2] is start_full) == (finite and np.isfinite(res).all())
+        carried_finite.append(finite)
+        return out
+
+    monkeypatch.setattr(nlaaa, "refit", checked)
+    return carried_finite
+
+
+@pytest.mark.parametrize("case", FIT_CASES)
+def test_the_carried_reference_residuals_are_those_from_scratch(monkeypatch, case):
+    """At every step of a fit, under both fallback modes, the reference's
+    residuals come from the loop's carried vector bit for bit as
+    _full_residuals makes them from scratch, on the steps after a fallback
+    too, whose carried vector is itself a reference's."""
+    data, degree = _fit_case(case)
+    carried_finite = _checking_refit(monkeypatch)
+    for mode in ("probabilistic", "relative"):
+        carried_finite.clear()
+        _, trace = nlaaa_fit(data, NlaaaConfig(max_degree=degree, tol=0.0, fallback_mode=mode))
+        assert len(carried_finite) == len(trace.records) - 1
+        assert all(carried_finite)
+        if case == "builtin":
+            assert "fallback" in [rec.branch for rec in trace.records[1:-1]]
+
+
+def test_a_carried_reference_with_a_pole_at_a_sample_is_made_again(monkeypatch):
+    """A step whose weights put a pole on an active sample carries an inf
+    there; the next step promotes that sample, and the previous model, now
+    with a zero-weight support at its pole, reads inf at every sample. That
+    step makes its reference's residuals again instead of taking the
+    carried vector."""
+    # supports 0 and 2 with weights (1, 1): d(1) = 1/1 + 1/(1 - 2) = 0
+    data = SampleSet([0.0, 1.0, 2.0, 3.0, 4.0], [10.0, 1.0, 0.0, 1.0, 2.0])
+    original = nlaaa.select_weights
+
+    def forced(system, work, w_prev_ext, cfg, prev_full):
+        if system.supports.size == 2:
+            w = np.ones(2, dtype=complex)
+            return w, "wf-from-sk", _full_residuals(system, work, w)
+        return original(system, work, w_prev_ext, cfg, prev_full)
+
+    monkeypatch.setattr(nlaaa, "select_weights", forced)
+    carried_finite = _checking_refit(monkeypatch)
+    _, trace = nlaaa_fit(data, NlaaaConfig(max_degree=2, tol=0.0))
+    assert [rec.support for rec in trace.records] == [0, 2, 1]
+    assert trace.records[1].l2_norm == np.inf
+    assert carried_finite == [False]
+    # the previous model's error reads inf, so a finite candidate wins
+    assert trace.records[2].branch != "fallback"
+    assert np.isfinite(trace.records[2].l2_norm)
 
 
 def test_no_weight_vector_is_evaluated_twice_on_one_system(monkeypatch):
