@@ -88,11 +88,10 @@ def _full_residuals(system, work, w, evaluated=None, full=None):
     the active squared error, the residuals |r - H| at the active samples
     (nan mapped to inf, so a pole at a sample ranks first and the step's
     metrics read inf) and those at every sample, zero at a support of
-    nonzero weight, which r interpolates exactly. `evaluated`, an earlier
-    evaluation of `w` on the system with fields `err` and `res` (a
-    ``refine.Iterate``), saves evaluating it again, and `full`, the
-    residuals of `w` at every sample when the caller holds them already,
-    saves making them again where both are finite.
+    nonzero weight, which r interpolates exactly. `evaluated`, the
+    ``linalg.Iterate`` of `w` on the system, saves evaluating it again, and
+    `full`, the residuals of `w` at every sample when the caller holds them
+    already, saves making them again where both are finite.
 
     `full` equals the residuals of the model's own evaluation bit for bit
     as long as the system's products sum as the model's do. Two rare cases

@@ -77,8 +77,10 @@ class SampleSet:
     changes, so neither do its active samples, and equal keys give the same
     system. A gradient check asks for its system 8 times per ``baryfit
     gradcheck`` and 14 per perfbench instance; an assembly costs 30-90 us at
-    194-994 x 6 against 1 us for a hit (Intel Xeon, 2 cores), so the
-    perfbench check on ``mor`` takes 1.2-1.65x as long without the cache.
+    194-994 x 6 against 1 us for a hit. Without the cache the perfbench
+    check took 1.22-1.51x as long per case on each of its three workloads,
+    2.09x at most (medians of 30 repetitions interleaved with cached ones,
+    3 runs; Intel Xeon, 2 shared cores), past the benchmark's 0.25 bound.
 
     Args:
         points: complex sample locations z_i, pairwise distinct.

@@ -61,7 +61,7 @@ def _per_column(total):
 
 def _rationals(system, w):
     """(r, d) at the active samples; d must not vanish."""
-    d = nonzero_denominators(system, w)
+    d = nonzero_denominators(system, system.denominators(w))
     return system.numerators(w) / d, d
 
 
@@ -75,14 +75,14 @@ def _levy_terms(system, w_prev=None):
     or of the SK step with its weighting c = 1/|d_prev|^2 frozen at w_prev."""
     if w_prev is None:
         return system.data_values, 0.0, 1.0
-    d_prev = nonzero_denominators(system, w_prev)
+    d_prev = nonzero_denominators(system, system.denominators(w_prev))
     return system.data_values, 0.0, 1.0 / np.abs(d_prev) ** 2
 
 
 def _wf_terms(system, w_prev):
     """(a, b, c) of the WF step linearized at w_prev: r_prev, n_prev - d_prev H
     and 1/|d_prev|^2."""
-    d_prev = nonzero_denominators(system, w_prev)
+    d_prev = nonzero_denominators(system, system.denominators(w_prev))
     n_prev = system.numerators(w_prev)
     b = n_prev - d_prev * system.data_values
     return n_prev / d_prev, b, 1.0 / np.abs(d_prev) ** 2

@@ -4,17 +4,19 @@ Everything here works on plain complex arrays: the Cauchy matrix over the
 active samples, the Levy (Loewner-type) matrix, the homogeneous unit-norm
 minimizer via SVD, and the pivoted weighted least-squares solve used by the
 WF iteration. Problem sizes are desk scale, so dense LAPACK kernels are the
-right tool. The fits build one :class:`LevySystem` per greedy step, and one
-:meth:`LevySystem.residual_sq_sum` of the step's weights gives both the
-active error and the residuals |r - H| that the next greedy selection
-ranks; its products also take (k, m) stacks of weights. The WF step takes
-the system's numerator and Cauchy matrices split at its pinned weight,
-made once per system. Tall homogeneous solves decompose their R factor,
-bitwise as zgesdd itself would.
+right tool. The fits build one :class:`LevySystem` per greedy step, and
+:meth:`LevySystem.evaluate` of a weight vector makes its one record, an
+:class:`Iterate`: n(z_i) and d(z_i) from one product each, the active
+error and the residuals |r - H| that the next greedy selection ranks. Its
+products also take (k, m) stacks of weights. The WF step takes the
+system's numerator and Cauchy matrices split at its pinned weight, made
+once per system. Tall homogeneous solves decompose their R factor, bitwise
+as zgesdd itself would.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +26,7 @@ IGNORE = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 _EPS = float(np.finfo(float).eps)
 
 __all__ = [
+    "Iterate",
     "LevySystem",
     "build_cauchy",
     "assemble_levy_system",
@@ -50,6 +53,18 @@ def build_cauchy(active_points, supports):
             "samples before assembling" % (i, j)
         )
     return 1.0 / diffs
+
+
+class Iterate(NamedTuple):
+    """A weight vector with its one evaluation on a LevySystem: n(z_i; w),
+    d(z_i; w), the raw active squared error (inf where a pole hits) and the
+    residuals |r(z_i; w) - H(z_i)| (nan or inf there)."""
+
+    weights: np.ndarray
+    n: np.ndarray
+    d: np.ndarray
+    err: float
+    res: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -92,27 +107,22 @@ class LevySystem:
         return (self.cauchy @ W).T
 
     def residual_sq_sum(self, w, out=None):
-        """Raw active squared error sum |r(z_i; w) - H(z_i)|^2 (inf if a pole hits).
-
-        `out`, a float array with one entry per active sample, receives the
-        residuals |r(z_i; w) - H(z_i)| the sum is formed from; a pole at an
-        active point leaves a nan or inf there.
-        """
-        return self.evaluate(w, out)[2]
+        """Raw active squared error sum |r(z_i; w) - H(z_i)|^2 (inf if a pole
+        hits): ``evaluate(w, out).err`` under its own ``np.errstate``."""
+        with np.errstate(**IGNORE):
+            return self.evaluate(w, out).err
 
     def evaluate(self, w, out=None):
-        """(n(z_i; w), d(z_i; w), residual_sq_sum(w, out)) from one product each."""
-        with np.errstate(**IGNORE):
-            return self.evaluate_ignoring(w, out)[:3]
+        """The :class:`Iterate` of w; call under ``np.errstate(**IGNORE)``.
 
-    def evaluate_ignoring(self, w, out=None):
-        """:meth:`evaluate` and the residuals |r - H|, for a caller that holds
-        ``np.errstate(**IGNORE)`` already, as a refinement run does around
-        all of its iterates."""
+        `out`, a float array with one entry per active sample, receives the
+        residuals |r(z_i; w) - H(z_i)|; a pole at an active point leaves a
+        nan or inf there.
+        """
         n, d = self.numerators(w), self.denominators(w)
         res = np.abs(n / d - self.data_values, out=out)
         total = float((res ** 2).sum())
-        return n, d, (np.inf if np.isnan(total) else total), res
+        return Iterate(w, n, d, np.inf if np.isnan(total) else total, res)
 
     def pinned_columns(self, pivot):
         """(P_free, C_free, p, c): the numerator matrix P (entries

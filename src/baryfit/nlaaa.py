@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aaa import FitConfig, _full_residuals, _greedy_fit, greedy_select
+from .aaa import FitConfig, _greedy_fit, greedy_select
 from .core import NumericalError, _check_integer
 from .refine import RefineConfig, refit
 
@@ -59,17 +59,13 @@ class NlaaaConfig(FitConfig):
             )
 
 
-def full_squared_error(system, weights, data, residuals=None):
-    """Squared error over all samples of `data`, the step's work set, whose
-    interpolated samples are the system's supports (a zero-weight support
+def full_squared_error(residuals):
+    """Squared error over all samples of the step's work set, from the
+    ``aaa._full_residuals`` triple of its weights: the sum of squares of the
+    full residuals, the trace metrics' own (a zero-weight support
     contributes its true residual); inf at a pole on the grid or where h*w
-    overflows: the sum of squares of ``aaa._full_residuals``' full
-    residuals, the trace metrics' own. `residuals` is that triple of
-    `weights` when the caller made it already. Only NL-AAA's acceptance
-    uses it.
+    overflows. Only NL-AAA's acceptance uses it.
     """
-    if residuals is None:
-        residuals = _full_residuals(system, data, weights)
     total = float(np.sum(residuals[2] ** 2))
     return np.inf if np.isnan(total) else total
 
@@ -94,8 +90,7 @@ def select_weights(system, data, w_prev_ext, cfg, prev_full=None):
     w_prev_ext = np.asarray(w_prev_ext, dtype=complex)
     weights, branch, residuals, reference = refit(
         system, data, w_prev_ext, cfg.refine, prev_full)
-    if (full_squared_error(system, weights, data, residuals)
-            < full_squared_error(system, w_prev_ext, data, reference)):
+    if full_squared_error(residuals) < full_squared_error(reference):
         return weights, branch, residuals
     return w_prev_ext, "fallback", reference
 

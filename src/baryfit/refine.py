@@ -10,17 +10,15 @@ the raw active squared error of every iterate and return the best one.
 :func:`refit` is the refinement of one fixed support set that NL-AAA takes
 at every greedy step: SK, one WF step from a start, and the WF run from the
 better of the two, handed back with the full residuals of its weights and
-of the start. It evaluates each weight vector on the system once: an
-:class:`Iterate` keeps the one evaluation of its weights, which gives its
-error, the next step and, for the best one, its residuals. SK's best
-iterate is the start of its WF run, and the run from the start continues
-from the one-step WF that the comparison took. Each run holds one
-``np.errstate`` around all of its iterates.
+of the start. It evaluates each weight vector on the system once, into the
+``linalg.Iterate`` that gives its error, the next step and, for the best
+one, its residuals. SK's best iterate is the start of its WF run, and the
+run from the start continues from the one-step WF that the comparison
+took. Each run holds one ``np.errstate`` around all of its iterates.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +26,7 @@ from .aaa import _full_residuals
 from .core import NumericalError, _check_integer
 from .linalg import (
     IGNORE,
+    Iterate,
     denominator_weighting,
     levy_matrix,
     min_unit_norm_solution,
@@ -37,7 +36,6 @@ from .linalg import (
 __all__ = [
     "RefineConfig",
     "RefineResult",
-    "Iterate",
     "sk_iterate",
     "wf_step",
     "wf_iterate",
@@ -55,23 +53,6 @@ class RefineConfig:
         _check_integer(self.p_max, "p_max", 1)
         if not (self.tol_sk >= 0 and self.tol_wf >= 0):
             raise ValueError("tolerances must be >= 0")
-
-
-class Iterate(NamedTuple):
-    """A weight vector with its one evaluation on a LevySystem: n(z_i; w),
-    d(z_i; w), the raw active squared error (inf where a pole hits) and the
-    residuals |r(z_i; w) - H(z_i)| (nan or inf there)."""
-
-    weights: np.ndarray
-    n: np.ndarray
-    d: np.ndarray
-    err: float
-    res: np.ndarray
-
-
-def _evaluate(system, w):
-    """The Iterate of w; call under ``np.errstate(**IGNORE)``."""
-    return Iterate(w, *system.evaluate_ignoring(w))
 
 
 @dataclass
@@ -131,7 +112,7 @@ def sk_iterate(system, cfg):
         for _ in range(cfg.p_max):
             np.multiply(L, denominator_weighting(dvals)[:, None], out=scaled)
             w = min_unit_norm_solution(scaled)
-            it = _evaluate(system, w)
+            it = system.evaluate(w)
             iterates.append(it)
             dvals = it.d
             if _phase_aligned_diff(w, w_prev) < cfg.tol_sk:
@@ -151,19 +132,16 @@ def _choose_pivot(w0):
     return 0
 
 
-def _nonzero(system, d):
+def nonzero_denominators(system, d):
+    """The denominators d(z_i) at the system's samples, handed back; a
+    NumericalError names the first sample where one vanishes exactly, which
+    nothing can be divided by."""
     zero = np.nonzero(d == 0)[0]
     if zero.size:
         raise NumericalError(
             "denominator vanishes at sample z = %s" % system.active_points[zero[0]]
         )
     return d
-
-
-def nonzero_denominators(system, w):
-    """d(z_i; w) at the system's samples; NumericalError naming the first
-    sample where it vanishes exactly, which nothing can be divided by."""
-    return _nonzero(system, system.denominators(w))
 
 
 def wf_step(system, w_prev, prev=None):
@@ -180,9 +158,9 @@ def wf_step(system, w_prev, prev=None):
     w_prev = np.asarray(w_prev, dtype=complex)
     pivot = _choose_pivot(w_prev)
     if prev is None:
-        d_prev = nonzero_denominators(system, w_prev)
-        return _linearized_step(system, system.numerators(w_prev), d_prev, pivot)
-    return _linearized_step(system, prev.n, _nonzero(system, prev.d), pivot)
+        with np.errstate(**IGNORE):
+            prev = system.evaluate(w_prev)
+    return _linearized_step(system, prev.n, nonzero_denominators(system, prev.d), pivot)
 
 
 def _linearized_step(system, n_prev, d_prev, pivot):
@@ -221,14 +199,14 @@ def wf_iterate(system, w0, cfg, done=()):
     pivot = _choose_pivot(w0)
     converged = False
     with np.errstate(**IGNORE):
-        iterates = [done[0] if done else _evaluate(system, w0)]
+        iterates = [done[0] if done else system.evaluate(w0)]
         u_prev = None  # the last iterate over its pivot entry, once needed
         while len(iterates) <= cfg.p_max and math.isfinite(iterates[-1].err):
             last = iterates[-1]
             if len(iterates) < len(done):
                 it = done[len(iterates)]
             else:
-                it = _evaluate(system, _linearized_step(system, last.n, last.d, pivot))
+                it = system.evaluate(_linearized_step(system, last.n, last.d, pivot))
             iterates.append(it)
             # not on an iterate of infinite error: it may hold inf entries,
             # and the loop ends there; w[pivot] != 0 (_choose_pivot, WF pins
@@ -265,9 +243,9 @@ def refit(system, work, start, cfg, start_full=None):
     start = np.asarray(start, dtype=complex)
     sk = sk_iterate(system, cfg)
     with np.errstate(**IGNORE):
-        prev = _evaluate(system, start)
+        prev = system.evaluate(start)
         try:
-            done = (prev, _evaluate(system, wf_step(system, start, prev)))
+            done = (prev, system.evaluate(wf_step(system, start, prev)))
         except NumericalError:  # d(z_i; start) = 0 at an active sample
             done = (prev,)
     if sk.best.err < (done[1].err if len(done) == 2 else np.inf):

@@ -1,10 +1,14 @@
 """Cauchy/Levy matrix assembly and the two least-squares kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from baryfit.linalg import (
+    IGNORE,
+    Iterate,
     assemble_levy_system,
     build_cauchy,
     denominator_weighting,
@@ -65,17 +69,37 @@ def test_levy_system_residual_helpers_are_consistent():
     w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     n = system.numerators(w)
     d = system.denominators(w)
-    n_eval, d_eval, err = system.evaluate(w)
-    assert_array_equal(n_eval, n)
-    assert_array_equal(d_eval, d)
+    with np.errstate(**IGNORE):
+        it = system.evaluate(w)
+    assert isinstance(it, Iterate) and it.weights is w
+    assert it.n.tobytes() == n.tobytes() and it.d.tobytes() == d.tobytes()
+    assert it.res.tobytes() == np.abs(n / d - data.values).tobytes()
     expected = float(np.sum(np.abs(n / d - data.values) ** 2))
     assert_allclose(system.residual_sq_sum(w), expected, rtol=1e-14)
-    assert system.residual_sq_sum(w) == err
-    res = np.empty(data.size)
-    assert system.residual_sq_sum(w, out=res) == err
-    assert_allclose(res, np.abs(n / d - data.values), rtol=1e-15)
+    assert system.residual_sq_sum(w) == it.err
+    res, res_eval = np.empty(data.size), np.empty(data.size)
+    assert system.residual_sq_sum(w, out=res) == it.err
+    with np.errstate(**IGNORE):
+        assert system.evaluate(w, out=res_eval).res is res_eval
+    assert res.tobytes() == res_eval.tobytes() == it.res.tobytes()
     # the Levy matrix encodes -(n - d H) column-combined
     assert_allclose(levy_matrix(system) @ w, -(n - d * data.values), rtol=1e-13)
+    # supports 0 and 1 with weights 1 and 1: d(z) = 1/z + 1/(z - 1) vanishes
+    # exactly at the active sample z = 0.5, where r has a pole; neither
+    # call warns, evaluate under the caller's errstate, residual_sq_sum
+    # under its own
+    system = assemble_levy_system([0.5, 2.0], [1.0, 1.0], [0.0, 1.0], [1.0, 2.0])
+    w = np.ones(2, dtype=complex)
+    assert system.denominators(w)[0] == 0
+    res = np.empty(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(**IGNORE):
+            it = system.evaluate(w)
+        assert system.residual_sq_sum(w, out=res) == np.inf
+    assert it.err == np.inf
+    assert not np.isfinite(it.res[0]) and np.isfinite(it.res[1])
+    assert not np.isfinite(res[0]) and res[1] == it.res[1]
 
 
 def test_min_unit_norm_diagonal_case():

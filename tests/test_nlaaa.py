@@ -30,6 +30,11 @@ from helpers import (
 BRANCHES = {"levy", "wf-from-sk", "wf-from-prev", "fallback"}
 
 
+def _full_error(system, data, w):
+    """full_squared_error of the weights w from scratch."""
+    return full_squared_error(_full_residuals(system, data, w))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         NlaaaConfig(max_degree=-1)
@@ -51,7 +56,7 @@ def test_full_squared_error_counts_zero_weight_supports():
     weights = np.array([1.0, 0.0], dtype=complex)
     data = SampleSet([0.0, 1.0, 3.0], [5.0, 9.0, 5.0], [False, False, True])
     # the model evaluates to 5 everywhere, so only z = 1 contributes (9-5)^2
-    err = full_squared_error(data.levy_system(supports, values), weights, data)
+    err = _full_error(data.levy_system(supports, values), data, weights)
     assert_allclose(err, 16.0, rtol=1e-12)
 
 
@@ -61,17 +66,17 @@ def test_full_squared_error_pole_gives_inf():
     data = SampleSet([1.0, -1.0, 0.0, 2.0, 3.0], np.ones(5), [False, False, True, True, True])
     system = data.levy_system(supports[:2], values[:2])
     # z = 0 is a pole of the model: at an active sample ...
-    assert full_squared_error(system, np.ones(2, dtype=complex), data) == np.inf
+    assert _full_error(system, data, np.ones(2, dtype=complex)) == np.inf
     # ... and at a support of zero weight
     smaller = data.deactivate(2)
     system = smaller.levy_system(supports, values)
-    assert full_squared_error(system, np.array([1.0, 1.0, 0.0], dtype=complex), smaller) == np.inf
+    assert _full_error(system, smaller, np.array([1.0, 1.0, 0.0], dtype=complex)) == np.inf
 
 
 def test_full_squared_error_all_zero_weights_gives_inf():
     data = SampleSet([1.0, 0.0, 2.0], [1.0, 1.0, 1.0], [False, True, True])
     system = data.levy_system(np.array([1.0 + 0j]), np.array([1.0 + 0j]))
-    assert full_squared_error(system, np.zeros(1, dtype=complex), data) == np.inf
+    assert _full_error(system, data, np.zeros(1, dtype=complex)) == np.inf
 
 
 def test_select_weights_never_worsens_an_exact_previous_model():
@@ -88,12 +93,12 @@ def test_select_weights_never_worsens_an_exact_previous_model():
     w_exact = levy_weights(SampleSet(x, H, two_mask).levy_system(supports[:2], interp[:2]))
     w_prev_ext = np.append(w_exact, 0.0)
     system = assemble_levy_system(data.active_points(), data.active_values(), supports, interp)
-    prev_err = full_squared_error(system, w_prev_ext, data)
+    prev_err = _full_error(system, data, w_prev_ext)
     assert prev_err < 1e-20
 
     weights, branch, _ = select_weights(system, data, w_prev_ext, NlaaaConfig(max_degree=5))
     assert branch in BRANCHES - {"levy"}
-    err = full_squared_error(system, weights, data)
+    err = _full_error(system, data, weights)
     assert err <= prev_err
     assert err < 1e-20
 
@@ -144,8 +149,9 @@ def test_every_nlaaa_model_evaluates_as_its_copy_without_zero_weights(monkeypatc
     residuals the refinement handed back, equals that model's squared error
     and its own score from scratch bit for bit."""
     data = sample_builtin("abs", 501)
-    original_score = nlaaa.full_squared_error
+    original_score, original_refit = nlaaa.full_squared_error, nlaaa.refit
     zero_weights, scored = [], []
+    pending = []  # (system, work, weights, triple) of each score to come
 
     def check(supports, interp, weights):
         live = weights != 0
@@ -155,20 +161,28 @@ def test_every_nlaaa_model_evaluates_as_its_copy_without_zero_weights(monkeypatc
         assert whole(data.points).tobytes() == compact(data.points).tobytes()
         return compact
 
-    def checked_score(system, weights, work, residuals):
-        got = original_score(system, weights, work, residuals)
+    def recording_refit(system, work, start, cfg, start_full):
+        out = original_refit(system, work, start, cfg, start_full)
+        pending.extend([(system, work, out[0], out[2]), (system, work, start, out[3])])
+        return out
+
+    def checked_score(residuals):
+        got = original_score(residuals)
+        system, work, weights, triple = pending.pop(0)
+        assert triple is residuals
         compact = check(system.supports, system.interp_values, weights)
         assert got == _model_squared_error(compact, work)
-        assert got == original_score(system, weights, work)
+        assert got == _full_error(system, work, weights)
         scored.append(bool(weights.all()))
         return got
 
+    monkeypatch.setattr(nlaaa, "refit", recording_refit)
     monkeypatch.setattr(nlaaa, "full_squared_error", checked_score)
     model, trace = nlaaa_fit(data, NlaaaConfig(max_degree=30, tol=0.0))
     check(model.supports, model.values, model.weights)
     assert zero_weights[-1] > 0
     # a candidate and a reference per step, scored by both routes
-    assert len(scored) == 2 * (len(trace.records) - 1)
+    assert len(scored) == 2 * (len(trace.records) - 1) and not pending
     assert any(scored) and not all(scored)
 
 
@@ -350,7 +364,7 @@ def _select_from_scratch(system, data, w_prev_ext, cfg):
     else:
         start, branch = w_prev_ext, "wf-from-prev"
     run = wf_iterate(system, start, cfg.refine)
-    if full_squared_error(system, run.weights, data) < full_squared_error(system, w_prev_ext, data):
+    if _full_error(system, data, run.weights) < _full_error(system, data, w_prev_ext):
         return run.weights, branch
     return w_prev_ext, "fallback"
 

@@ -9,6 +9,7 @@ from baryfit.aaa import levy_weights
 from baryfit.core import NumericalError
 from baryfit.gradients import error_wf_step, grad_nonlinear
 from baryfit.linalg import (
+    IGNORE,
     LevySystem,
     assemble_levy_system,
     denominator_weighting,
@@ -23,6 +24,12 @@ def _system_for(supports, interp, data):
     return assemble_levy_system(
         data.active_points(), data.active_values(), supports, interp
     )
+
+
+def _iterate(system, w):
+    """The Iterate of w on the system, the `prev` of wf_step."""
+    with np.errstate(**IGNORE):
+        return system.evaluate(w)
 
 
 def _exact_instance(count=21, holdout=(0, 10)):
@@ -110,11 +117,20 @@ def test_wf_step_single_support_returns_one():
     assert w.shape == (1,) and w[0] == 1.0 + 0j
 
 
-def test_wf_step_rejects_all_zero_weights():
+def test_wf_step_rejects_all_zero_weights(monkeypatch):
+    """From scratch and from its Iterate alike, before any evaluation."""
     rng = np.random.default_rng(61)
     supports, interp, data = random_instance(rng, 2, 6)
-    with pytest.raises(ValueError):
-        wf_step(_system_for(supports, interp, data), np.zeros(2))
+    system = _system_for(supports, interp, data)
+    zero = np.zeros(2, dtype=complex)
+    prev = _iterate(system, zero)
+    calls = []
+    for name in ("numerators", "denominators"):
+        monkeypatch.setattr(LevySystem, name, lambda self, W, name=name: calls.append(name))
+    for given in (None, prev):
+        with pytest.raises(ValueError, match="all-zero weight vector"):
+            wf_step(system, zero, given)
+    assert calls == []
 
 
 def test_wf_step_zero_residual_weights_are_a_fixed_point():
@@ -155,7 +171,9 @@ def test_wf_step_minimizes_the_linearized_objective():
 def test_wf_step_is_the_solve_on_the_shifted_numerator_matrix_bit_for_bit(first):
     """wf_step forms P - diag(n/d) C split at its pivot from the system's
     pinned columns: the same bits as the solve on the whole matrix, for
-    pivot 0 and for the largest entry when entry 0 is negligible."""
+    pivot 0 and for the largest entry when entry 0 is negligible. From
+    scratch it evaluates w into its Iterate and takes the one path of a
+    step from that Iterate."""
     rng = np.random.default_rng(61)
     supports, interp, data = random_instance(rng, 7, 150)
     system = _system_for(supports, interp, data)
@@ -167,6 +185,7 @@ def test_wf_step_is_the_solve_on_the_shifted_numerator_matrix_bit_for_bit(first)
         F = system.shifted_numerator_matrix(n / d)
         want = pivoted_weighted_lsq(denominator_weighting(d), F, -n + d * system.data_values, pivot)
         assert wf_step(system, w).tobytes() == want.tobytes()
+        assert wf_step(system, w, _iterate(system, w)).tobytes() == want.tobytes()
 
 
 def test_wf_iterate_exact_start_converges_immediately():
@@ -314,9 +333,12 @@ def test_wf_convergence_is_not_tested_on_an_iterate_of_infinite_error():
     "call",
     [
         lambda supports, interp, data, w: wf_step(data.levy_system(supports, interp), w),
+        lambda supports, interp, data, w: wf_step(
+            data.levy_system(supports, interp), w, _iterate(data.levy_system(supports, interp), w)
+        ),
         grad_nonlinear,
     ],
-    ids=["wf_step", "grad_nonlinear"],
+    ids=["wf_step", "wf_step_from_its_iterate", "grad_nonlinear"],
 )
 def test_a_vanishing_denominator_is_reported_at_its_sample(call):
     # k = 2 with w1 = -w0 (z - lambda1)/(z - lambda0): d(z) = 0 exactly at the
@@ -332,5 +354,5 @@ def test_a_vanishing_denominator_is_reported_at_its_sample(call):
     with pytest.raises(NumericalError, match=r"denominator vanishes at sample z = \(0\.5\+0j\)"):
         call(supports, interp, data, w)
     # the guard hands back d where it vanishes nowhere
-    w_ok = np.array([w0, 1.0])
-    assert np.array_equal(nonzero_denominators(system, w_ok), system.denominators(w_ok))
+    d_ok = system.denominators(np.array([w0, 1.0]))
+    assert nonzero_denominators(system, d_ok) is d_ok
