@@ -244,19 +244,19 @@ class RationalModel:
         """Evaluate the model at one or more points (scalar in, scalar out).
 
         At a support of nonzero weight the stored value is returned exactly.
-        Next to one, within about 2^-1024, 1 / (z - lambda) overflows, and
-        a little farther out the sums or their ratio can: where the
-        denominator is not finite, or the ratio is not although the
-        denominator is nonzero, that point is evaluated again with every
-        z - lambda divided by the distance to the nearest support, which
-        leaves the ratio as it is. Every other point keeps the bits of the
-        plain formula. Where the parts of the points and supports are large
-        enough for z - lambda or its reciprocal to overflow, which would drop
-        a term, all of them are scaled by 2^-2 first: the ratio is invariant.
-        With small supports only the points can be that large, and a point
-        whose every reciprocal dropped reads a zero denominator: a point
-        where it is zero is evaluated again at 2^-2, and only a denominator
-        that stays zero, a pole, raises.
+        Every other point keeps the bits of the plain formula unless its
+        denominator or ratio is not finite, a zero denominator included:
+        within about 2^-1024 of a support 1 / (z - lambda) overflows, a
+        little farther out the sums or their ratio can, and far from small
+        supports, where both parts of z - lambda reach 2^1023, numpy's
+        reciprocal of every one reads 0. Such a point is evaluated again
+        with every z - lambda divided by the power of two of its nearest
+        one, which is exact and leaves the ratio as it is: only a
+        denominator that stays zero, a pole, raises, and a nan point reads
+        nan. Where the parts of the points and supports are large enough
+        for z - lambda or its reciprocal to overflow, which would drop a
+        term without a trace, all of them are scaled by 2^-2 first: the
+        ratio is invariant.
 
         Points are processed in row blocks of about 64 KB of Cauchy entries,
         so the temporaries of a call stay small whatever the number of
@@ -281,9 +281,8 @@ class RationalModel:
         # another order: so no block has one row unless the input does.
         rows = max(2, _BLOCK // lam.size)
         last = zv.size - 1
-        # 1 / (z - lambda) overflows within about 2^-1024 of a support, and
-        # the products or their ratio can a little farther out: such rows
-        # are evaluated again below, so no warning is due for them
+        # rows whose den or ratio is not finite are evaluated again below,
+        # so no warning is due for them
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for start in range(0, max(last, 1), rows):
                 stop = start + rows if start + rows < last else zv.size
@@ -298,63 +297,50 @@ class RationalModel:
                 np.matmul(cauchy, w, out=den[start:stop])
             r = num / den
             # r . den is not finite where an entry of either is not: where
-            # den is not, and where num / den overflows, inside numpy's
-            # complex division too (a subnormal den or large num and den)
+            # den is not, where it is zero (r is not), and where num / den
+            # overflows, inside numpy's complex division too (a subnormal
+            # den or large num and den); a nan point keeps its nan
             if not cmath.isfinite(r.dot(den)):
-                near = ~np.isfinite(den)
-                near |= ~np.isfinite(r) & (den != 0)
-                near[hit_row] = False
-                near = np.flatnonzero(near)
-                num[near], den[near] = self._near_support(x[near], lam)
-                r[near] = num[near] / den[near]
-        bad = den == 0
+                redo = ~(np.isfinite(den) & np.isfinite(r) | np.isnan(zv))
+                redo[hit_row] = False
+                redo = np.flatnonzero(redo)
+                r[redo], den[redo] = self._rescaled(x[redo], lam)
+                pole = redo[den[redo] == 0]
+                if pole.size:
+                    raise PoleAtPointError("denominator vanishes at z = %s" % zv[pole[0]])
         r[hit_row] = h[hit_col]
-        bad[hit_row] = False
-        if np.any(bad):
-            bad = np.flatnonzero(bad)
-            num_bad, den_bad = self._quartered(x[bad], lam)
-            if not den_bad.all():
-                where = zv[bad[np.flatnonzero(den_bad == 0)[0]]]
-                raise PoleAtPointError("denominator vanishes at z = %s" % where)
-            r[bad] = num_bad / den_bad
         if scalar_in:
             return complex(r[0])
         return r.reshape(np.shape(z))
 
-    def _near_support(self, zv, lam):
-        """(num, den) at points off the live supports `lam`, both divided by
-        the distance to the nearest support, which leaves their ratio as it
-        is.
+    def _rescaled(self, x, lam):
+        """(r, den) at points `x` off the live supports `lam`, every
+        z - lambda of a point divided by the power of two of its nearest one.
 
-        Each z - lambda is divided by that distance, its real and imaginary
-        parts apart, so no reciprocal exceeds 1 in modulus. A support
-        2^1024 times as far as the nearest gives a reciprocal of 1 / inf, or
-        nan where both parts overflow: it counts as 0.
+        Nearest is by the larger of the real and imaginary parts, which the
+        scaling brings into [1, 2), so no reciprocal exceeds 1 in modulus.
+        A power-of-two scale is exact, so the ratio is kept and a pole's den
+        stays zero. A support 2^1024 times as far as the nearest gives a
+        reciprocal of 1 / inf, or nan where both parts overflow: it counts
+        as 0. A point whose nearest difference is exactly zero, one that the
+        2^-2 scaling of wide supports moved onto a support, takes that
+        support's value. Each row is summed on its own, not as a matrix
+        product, which numpy computes for one row as a dot in another
+        order: at the same scale, a point reads the same alone and among
+        others.
         """
-        _, _, w, hw = self._live
-        cauchy = zv[:, None] - lam[None, :]
-        nearest = np.abs(cauchy).min(axis=1, keepdims=True)
-        cauchy.real /= nearest
-        cauchy.imag /= nearest
+        _, h, w, hw = self._live
+        cauchy = x[:, None] - lam[None, :]
+        parts = np.maximum(np.abs(cauchy.real), np.abs(cauchy.imag))
+        top = parts.min(axis=1)
+        cauchy = np.ldexp(cauchy.view(float), 1 - np.frexp(top)[1][:, None]).view(complex)
         np.divide(1.0, cauchy, out=cauchy)
         cauchy[np.isnan(cauchy)] = 0
-        return cauchy @ hw, cauchy @ w
-
-    def _quartered(self, zv, lam):
-        """(num, den) at points off the live supports `lam`, with the points
-        and supports scaled by 2^-2, which leaves their ratio as it is.
-
-        Where the real and imaginary parts of z - lambda both reach about
-        2^1023, the denominator of numpy's complex reciprocal (Smith's
-        algorithm) overflows, and the reciprocal reads 0: a point that large
-        reads den = 0 unscaled. A true pole stays one, since a power-of-two
-        scale is exact.
-        """
-        _, _, w, hw = self._live
-        x, lam = (np.ldexp(a.view(float), -2).view(complex) for a in (zv, lam))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            cauchy = 1.0 / (x[:, None] - lam[None, :])
-        return cauchy @ hw, cauchy @ w
+        den = (cauchy * w).sum(axis=1)
+        r = (cauchy * hw).sum(axis=1) / den
+        on = top == 0
+        r[on], den[on] = h[parts[on].argmin(axis=1)], 1.0
+        return r, den
 
     def _support_hits(self, zv):
         """(rows, columns) with zv[row] == the live support of that column,

@@ -8,10 +8,10 @@ right tool. The fits build one :class:`LevySystem` per greedy step, and
 :meth:`LevySystem.evaluate` of a weight vector makes its one record, an
 :class:`Iterate`: n(z_i) and d(z_i) from one product each, the active
 error and the residuals |r - H| that the next greedy selection ranks. Its
-products also take (k, m) stacks of weights. The WF step takes the
-system's numerator and Cauchy matrices split at its pinned weight, made
-once per system. Tall homogeneous solves decompose their R factor, bitwise
-as zgesdd itself would.
+products also take (k, m) stacks of weights. The numerator matrix is
+formed once per system: the gradients shift it, and the WF step takes it
+and the Cauchy matrix split at its pinned weight. Tall homogeneous solves
+decompose their R factor, bitwise as zgesdd itself would.
 """
 
 import math
@@ -93,9 +93,14 @@ class LevySystem:
         with and every criterion gradient contracts with its residuals. P,
         with P[i, j] = h_j/(z_i - lambda_j), is the numerator matrix, so
         n(z_i; w) = (Pw)_i."""
-        F = self.cauchy * self.interp_values[None, :]
-        F -= a[:, None] * self.cauchy
-        return F
+        return self._numerator_matrix() - a[:, None] * self.cauchy
+
+    def _numerator_matrix(self):
+        """P, read-only, formed on the first call and kept with the system."""
+        if "_P" not in self.__dict__:  # frozen: no setattr
+            P = self.__dict__["_P"] = self.cauchy * self.interp_values[None, :]
+            P.flags.writeable = False
+        return self.__dict__["_P"]
 
     def numerators(self, W):
         """n(z_i; w) = sum_j w_j h_j/(z_i - lambda_j), without forming P, for
@@ -132,8 +137,7 @@ class LevySystem:
         pivot and kept with the system; AAA's path never asks for it."""
         kept = self.__dict__.setdefault("_pinned", {})  # frozen: no setattr
         if pivot not in kept:
-            C = self.cauchy
-            P = C * self.interp_values[None, :]
+            C, P = self.cauchy, self._numerator_matrix()
             free = np.arange(C.shape[1]) != pivot
             kept[pivot] = (P[:, free], C[:, free], P[:, pivot].copy(), C[:, pivot].copy())
             for arr in kept[pivot]:

@@ -127,7 +127,7 @@ def test_eval_pole_in_a_later_block_names_the_point():
 def test_eval_next_to_a_support_is_the_support_value():
     """Within 2^-1024 of a support, 1 / (z - lambda) overflows (1e-320), or
     the products do (1e-308): those rows are evaluated again with every
-    z - lambda divided by the distance to the nearest support, without a
+    z - lambda divided by the power of two of the nearest one, without a
     warning. Rows that were finite keep their bits, and a support itself
     still returns its value exactly."""
     model = RationalModel.barycentric([0.0, 1.0], [3 - 4j, 1.0], [1.0, 1.0])
@@ -193,8 +193,10 @@ def test_eval_where_the_denominator_is_subnormal_is_finite():
 def test_eval_where_both_parts_of_a_point_reach_2_to_the_1023():
     """At z = 1e308 + 1e308j the denominator of numpy's reciprocal of every
     z - lambda overflows, so each term reads 0 and so does d(z): the point
-    is evaluated again at 2^-2, r(z) = (8z - 3) / (2z - 1). A true pole in
-    the same call still raises, and an ordinary point keeps its bits."""
+    is evaluated again with every z - lambda divided by the power of two of
+    the nearest one, r(z) = (8z - 3) / (2z - 1), alike alone and in a call.
+    A true pole in the same call still raises, and an ordinary point keeps
+    its bits."""
     model = RationalModel.barycentric([0.0, 1.0], [3.0, 5.0], [1.0, 1.0])
     z = np.array([1e308 + 1e308j, -1.7e308 - 1.7e308j, 0.3])
     with warnings.catch_warnings():
@@ -206,6 +208,57 @@ def test_eval_where_both_parts_of_a_point_reach_2_to_the_1023():
     # d(z) = 1/z + 1/(z - 1) vanishes at z = 1/2
     with pytest.raises(PoleAtPointError, match=r"z = \(0\.5\+0j\)"):
         model(np.array([1e308 + 1e308j, 0.5]))
+
+
+def test_eval_where_the_wide_scaling_moves_a_point_onto_a_support():
+    """Support 1e300 is beyond 2^969, so with 1e308 in the same call the
+    points and supports are scaled by 2^-2: 1e300 + 5e-324j then reads
+    exactly the support. It takes the support's value, as it does alone."""
+    model = RationalModel([1e300], [2.0], [1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = model(np.array([1e300 + 5e-324j, 1e308]))
+        alone = model(1e300 + 5e-324j)
+    assert_array_equal(got, [2.0, 2.0])
+    assert alone == 2.0
+
+
+def test_eval_far_out_with_nearly_cancelling_weights_is_finite():
+    """At z = 1e308 + 1e308j both supports are at the same z - lambda, whose
+    reciprocal numpy reads as 0: evaluated again scaled, r(z) is
+    sum h w / sum w, up to the cancellation bound 4 eps sum |w| / |sum w|."""
+    model = RationalModel([0.0, 1.0], [1.0, 2.0], [1.0, -1.0 + 1e-15])
+    w = model.weights
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = model(1e308 + 1e308j)
+    want = (model.values * w).sum() / w.sum()
+    assert np.isfinite(got)
+    assert abs(got - want) <= 4 * EPS * np.abs(w).sum() / abs(w.sum()) * abs(want)
+
+
+def test_eval_where_the_denominator_underflows_is_not_a_pole():
+    """With weights 2^-70 the denominator at z = 1e305 is about 1e-326 and
+    reads 0, which is no pole: evaluated again scaled, the point gets the
+    value of the same model with weights 1, r(z) = (8z - 3) / (2z - 1)."""
+    z = np.array([1e305, -3e304j])
+    tiny = RationalModel.barycentric([0.0, 1.0], [3.0, 5.0], [2.0 ** -70] * 2)
+    unit = RationalModel.barycentric([0.0, 1.0], [3.0, 5.0], [1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert_allclose(tiny(z), unit(z), rtol=4 * EPS, atol=0)
+
+
+def test_eval_at_a_nan_point_is_nan_and_at_an_infinite_one_raises():
+    """A nan point, which a points file may hold, reads nan and is no pole;
+    at +-inf every reciprocal is 0 and so is the denominator, as the message
+    names. The finite points of the call keep their bits."""
+    model = RationalModel.barycentric([0.0, 1.0], [3.0, 5.0], [1.0, 1.0])
+    got = model(np.array([np.nan, complex(np.nan, 1.0), 0.25, 2.0]))
+    assert np.isnan(got[:2]).all()
+    assert got[2:].tobytes() == model(np.array([0.25, 2.0])).tobytes()
+    with pytest.raises(PoleAtPointError, match=r"z = \(-inf\+0j\)"):
+        model(np.array([0.25, -np.inf]))
 
 
 def test_constant_model_evaluates_everywhere():

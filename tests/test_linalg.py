@@ -183,6 +183,23 @@ def test_levy_system_numerators_match_the_numerator_matrix():
     assert np.all(np.abs(system.numerators(w) - expected) <= bound)
 
 
+def test_numerator_matrix_serves_the_gradients_and_the_wf_split_bit_for_bit():
+    """P = C diag(h), formed as C * h, once per system: the shifted matrix
+    P - diag(a) C for any a, and the split at any pivot, keep the bits of
+    forming P afresh for each."""
+    rng = np.random.default_rng(37)
+    supports, interp_values, data = random_instance(rng, 6, 40)
+    system = assemble_levy_system(data.points, data.values, supports, interp_values)
+    C = system.cauchy
+    P = C * system.interp_values[None, :]
+    for pivot, a in ((2, data.values), (0, rng.standard_normal(40) + 0j), (2, -data.values)):
+        assert system.shifted_numerator_matrix(a).tobytes() == (P - a[:, None] * C).tobytes()
+        free = np.arange(6) != pivot
+        split = (P[:, free], C[:, free], P[:, pivot], C[:, pivot])
+        for got, want in zip(system.pinned_columns(pivot), split):
+            assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("k, m", [(1, 1), (1, 3), (4, 2), (4, 4), (6, 9)])
 def test_levy_system_products_of_a_weight_stack_match_its_columns(k, m):
     """A (k, m) stack of weight columns gives (m, M-k) products, row j that

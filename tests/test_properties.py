@@ -6,6 +6,7 @@ reproducible and no example database is written.
 """
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -233,9 +234,97 @@ def test_zero_weight_supports_drop_out_of_model_evaluation(seed, k, count, block
     z[on] = supports[rng.integers(0, k, on.size)]
     if far:
         # scaled by an exact 2^-70, the denominator underflows to zero out
-        # there: a pole of the evaluation, named in the error message
+        # there, and the point is evaluated again scaled
         weights *= 2.0 ** -70
         z[rng.integers(0, count)] = 1e305 * np.exp(2j * np.pi * rng.uniform())
     whole = RationalModel.barycentric(supports, values, weights)
     compact = RationalModel.barycentric(supports[live], values[live], weights[live])
     assert _evaluation(whole, z) == _evaluation(compact, z)
+
+
+# scales at the edges of the double range and in between: subnormal, near
+# the smallest normal, ordinary, and where z - lambda or the parts of
+# numpy's complex reciprocal overflow
+EDGE_SCALES = (1e-320, 1e-310, 1e-300, 1e-200, 1e-20, 1.0, 1e20, 1e200, 1e300, 1e307, 1e308,
+               1.5e308)
+
+
+def _edge_model(rng):
+    """1-5 supports at one scale, real ones in half the draws; each weight
+    is zero with probability 0.2. None when the draw makes no model
+    (repeated supports or no nonzero weight)."""
+    k = int(rng.integers(1, 6))
+    scale = rng.choice(EDGE_SCALES)
+    supports = scale * (rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k) * rng.integers(0, 2))
+    values = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    weights = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * (rng.uniform(size=k) >= 0.2)
+    try:
+        return RationalModel.barycentric(supports, values, weights)
+    except ValueError:
+        return None
+
+
+# offsets of the points next to a support, from the smallest subnormal on
+EDGE_OFFSETS = (5e-324, 1e-320, 1e-310, 1e-300, 1e-200, 1e-100, 1e-20, 1e-16)
+
+
+def _edge_points(rng, supports):
+    """Six points at offsets of 5e-324 to 1e-16 from the supports, in one of
+    the four axis directions or at a random angle, and four at the scales."""
+    turns = [rng.choice([1, 1j, -1, -1j, np.exp(2j * np.pi * rng.uniform())]) for _ in range(6)]
+    near = rng.choice(supports, 6) + rng.choice(EDGE_OFFSETS, 6) * np.array(turns)
+    far = rng.choice(EDGE_SCALES, 4) * (rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4))
+    return np.concatenate([near, far])
+
+
+def _rounding_bound(model, z, r):
+    """Twice the rounding bound of a barycentric evaluation r at z, a point
+    off the live supports: (k + 10) eps (sum |h_j w_j c_j| + |r| sum |w_j c_j|)
+    / |sum w_j c_j| with c_j = 1 / (z - lambda_j). The c_j are exact, scaled
+    by one power of two: the bound does not change under that scale."""
+    live = model.weights != 0
+    hw, w = model.values[live] * model.weights[live], model.weights[live]
+    c = []
+    for lam in model.supports[live]:
+        a, b = Fraction(z.real) - Fraction(lam.real), Fraction(z.imag) - Fraction(lam.imag)
+        c.append((a / (a * a + b * b), -b / (a * a + b * b)))
+    top = max(max(abs(a), abs(b)) for a, b in c)
+    scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
+    c = np.array([complex(a * scale, b * scale) for a, b in c])
+    eps = np.finfo(float).eps
+    return ((w.size + 10) * eps * (np.abs(hw * c).sum() + abs(r) * np.abs(w * c).sum())
+            / abs((w * c).sum()))
+
+
+def test_evaluation_at_the_edges_of_the_double_range_is_finite_and_pointwise():
+    """A model evaluates next to its supports and far from them with no
+    warning and finite values, unless a pole raises, and every point of a
+    call agrees with that point alone to the rounding bound. A call scales
+    by 2^-2 for its largest point and rescues a point by its own nearest
+    support, so the two may round apart."""
+    rng = np.random.default_rng(2026)
+    for _ in range(300):
+        model = _edge_model(rng)
+        if model is None:
+            continue
+        z = _edge_points(rng, model.supports)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = model(z)
+            except PoleAtPointError:
+                got = None
+            alone = []
+            for zi in z:
+                try:
+                    alone.append(model(zi))
+                except PoleAtPointError:
+                    alone.append(None)
+        assert (got is None) == (None in alone), (model.supports, z)
+        if got is None:
+            continue
+        assert np.isfinite(got).all() and np.isfinite(alone).all(), (model.supports, z, got)
+        for zi, a, b in zip(z, got, alone):
+            if a != b:  # never at a support: both return its value exactly
+                assert abs(a - b) <= _rounding_bound(model, zi, max(abs(a), abs(b))), (
+                    model.supports, zi, a, b)
