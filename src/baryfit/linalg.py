@@ -9,9 +9,10 @@ right tool. The fits build one :class:`LevySystem` per greedy step, and
 :class:`Iterate`: n(z_i) and d(z_i) from one product each, the active
 error and the residuals |r - H| that the next greedy selection ranks. Its
 products also take (k, m) stacks of weights. The numerator matrix is
-formed once per system: the gradients shift it, and the WF step takes it
-and the Cauchy matrix split at its pinned weight. Tall homogeneous solves
-decompose their R factor, bitwise as zgesdd itself would.
+formed once per system, and :meth:`LevySystem.shifted_numerator_matrix`
+shifts it into the one matrix that both the WF step solves with and the
+gradients contract with. Tall homogeneous solves decompose their R factor,
+bitwise as zgesdd itself would.
 """
 
 import math
@@ -92,15 +93,12 @@ class LevySystem:
         derivative of n(z_i; w) - a_i d(z_i; w) in w, which the WF step solves
         with and every criterion gradient contracts with its residuals. P,
         with P[i, j] = h_j/(z_i - lambda_j), is the numerator matrix, so
-        n(z_i; w) = (Pw)_i."""
-        return self._numerator_matrix() - a[:, None] * self.cauchy
-
-    def _numerator_matrix(self):
-        """P, read-only, formed on the first call and kept with the system."""
+        n(z_i; w) = (Pw)_i; it is formed on the first call and kept with the
+        system. Returns a new array, which the caller may overwrite."""
         if "_P" not in self.__dict__:  # frozen: no setattr
-            P = self.__dict__["_P"] = self.cauchy * self.interp_values[None, :]
-            P.flags.writeable = False
-        return self.__dict__["_P"]
+            self.__dict__["_P"] = self.cauchy * self.interp_values[None, :]
+        F = a[:, None] * self.cauchy
+        return np.subtract(self.__dict__["_P"], F, out=F)
 
     def numerators(self, W):
         """n(z_i; w) = sum_j w_j h_j/(z_i - lambda_j), without forming P, for
@@ -128,21 +126,6 @@ class LevySystem:
         res = np.abs(n / d - self.data_values, out=out)
         total = float((res ** 2).sum())
         return Iterate(w, n, d, np.inf if np.isnan(total) else total, res)
-
-    def pinned_columns(self, pivot):
-        """(P_free, C_free, p, c): the numerator matrix P (entries
-        h_j/(z_i - lambda_j)) and C without column `pivot`, and that column
-        of each, so that the WF matrix P - diag(a) C splits at its pinned
-        weight without forming P per step. Made on the first call for a
-        pivot and kept with the system; AAA's path never asks for it."""
-        kept = self.__dict__.setdefault("_pinned", {})  # frozen: no setattr
-        if pivot not in kept:
-            C, P = self.cauchy, self._numerator_matrix()
-            free = np.arange(C.shape[1]) != pivot
-            kept[pivot] = (P[:, free], C[:, free], P[:, pivot].copy(), C[:, pivot].copy())
-            for arr in kept[pivot]:
-                arr.flags.writeable = False
-        return kept[pivot]
 
 
 def assemble_levy_system(active_points, active_values, supports, interp_values):
@@ -214,30 +197,27 @@ def denominator_weighting(denominator_values):
     return np.divide(1.0, mags, out=mags)
 
 
-def pivoted_weighted_lsq(row_weights, F, b, pivot=0, pinned=None):
+def pivoted_weighted_lsq(row_weights, F, b, pivot=0):
     """Solve min ||D (F w - b)||_2 subject to w[pivot] = 1.
 
     D is diagonal with the given positive row weights. The free entries are
     found by a rank-revealing LAPACK least-squares solve (minimum-norm
     solution under rank deficiency); a single column leaves none free.
-    A caller that has split F at the pivot already passes column `pivot` as
-    `pinned` and F without it; F and b are then its scratch arrays, which
-    the solve scales in place.
+    F and b are the caller's scratch: a complex F or b is scaled in place,
+    so pass copies of arrays that are needed afterwards.
     """
     F = np.asarray(F, dtype=complex)
     b = np.asarray(b, dtype=complex)
     d = np.asarray(row_weights, dtype=float)
-    k = F.shape[1] + (pinned is not None)
-    if not 0 <= pivot < k:
-        raise ValueError("pivot %d out of range for %d columns" % (pivot, k))
-    if pinned is None:
-        F, pinned = np.delete(F, pivot, axis=1), F[:, pivot]
-        b = b - pinned
-    else:
-        b -= pinned
-    # in the operand order of F * d and d * (b - pinned): the AVX-512 complex
-    # product rounds x*y and y*x apart (see core._BLOCK)
+    if not 0 <= pivot < F.shape[1]:
+        raise ValueError("pivot %d out of range for %d columns" % (pivot, F.shape[1]))
+    b -= F[:, pivot]
+    # in the operand order of F * d and d * (b - F[:, pivot]): the AVX-512
+    # complex product rounds x*y and y*x apart (see core._BLOCK). The whole
+    # contiguous F is scaled before the pinned column goes, because a complex
+    # product over a strided view runs about twice as slow.
     F *= d[:, None]
     np.multiply(d, b, out=b)
+    F = F[:, 1:] if pivot == 0 else np.delete(F, pivot, axis=1)
     sol = np.linalg.lstsq(F, b, rcond=None)[0]
     return np.concatenate((sol[:pivot], [1.0], sol[pivot:]))

@@ -3,9 +3,11 @@
 Both work on the LevySystem of a fixed support set and reweight the
 active-sample residuals by the previous iterate's denominator magnitudes.
 SK repeats the homogeneous unit-norm solve; WF solves a Gauss-Newton-style
-linearization of the rational map with the pivot weight pinned to 1.
-Neither iteration is guaranteed to converge monotonically, so both record
-the raw active squared error of every iterate and return the best one.
+linearization of the rational map with the pivot weight pinned to 1, on
+the system's ``shifted_numerator_matrix``, the matrix that the gradients
+contract with. Neither iteration is guaranteed to converge monotonically,
+so both record the raw active squared error of every iterate and return
+the best one.
 
 :func:`refit` is the refinement of one fixed support set that NL-AAA takes
 at every greedy step: SK, one WF step from a start, and the WF run from the
@@ -166,19 +168,14 @@ def wf_step(system, w_prev, prev=None):
 def _linearized_step(system, n_prev, d_prev, pivot):
     """:func:`wf_step` from n(z_i; w_prev) and d(z_i; w_prev), d nonzero.
 
-    The matrix P - diag(n/d) C is formed from the system's pinned-column
-    split of P and C, bit for bit as ``shifted_numerator_matrix``'s, and
-    the right-hand side d H - n as -n + d H; each in one array, which the
-    solve then scales in place."""
-    P_free, C_free, p, c = system.pinned_columns(pivot)
-    a = n_prev / d_prev
-    F = a[:, None] * C_free
-    np.subtract(P_free, F, out=F)
+    Its one matrix is the system's ``shifted_numerator_matrix(n/d)``, P -
+    diag(n/d) C, the matrix every criterion gradient contracts with; the
+    right-hand side is d H - n, the bits of -n + d H. The solve scales both
+    in place."""
+    F = system.shifted_numerator_matrix(n_prev / d_prev)
     b = d_prev * system.data_values
     b -= n_prev  # x - y is x + (-y), bit for bit
-    pinned = a * c
-    np.subtract(p, pinned, out=pinned)
-    return pivoted_weighted_lsq(denominator_weighting(d_prev), F, b, pivot, pinned)
+    return pivoted_weighted_lsq(denominator_weighting(d_prev), F, b, pivot)
 
 
 def wf_iterate(system, w0, cfg, done=()):

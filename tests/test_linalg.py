@@ -185,19 +185,18 @@ def test_levy_system_numerators_match_the_numerator_matrix():
 
 def test_numerator_matrix_serves_the_gradients_and_the_wf_split_bit_for_bit():
     """P = C diag(h), formed as C * h, once per system: the shifted matrix
-    P - diag(a) C for any a, and the split at any pivot, keep the bits of
-    forming P afresh for each."""
+    P - diag(a) C for any a, the one matrix of the gradients and of the WF
+    step, keeps the bits of forming P afresh for each, and overwriting one
+    shifted matrix leaves the next one as it was."""
     rng = np.random.default_rng(37)
     supports, interp_values, data = random_instance(rng, 6, 40)
     system = assemble_levy_system(data.points, data.values, supports, interp_values)
     C = system.cauchy
     P = C * system.interp_values[None, :]
-    for pivot, a in ((2, data.values), (0, rng.standard_normal(40) + 0j), (2, -data.values)):
-        assert system.shifted_numerator_matrix(a).tobytes() == (P - a[:, None] * C).tobytes()
-        free = np.arange(6) != pivot
-        split = (P[:, free], C[:, free], P[:, pivot], C[:, pivot])
-        for got, want in zip(system.pinned_columns(pivot), split):
-            assert got.tobytes() == want.tobytes()
+    for a in (data.values, rng.standard_normal(40) + 0j, -data.values):
+        F = system.shifted_numerator_matrix(a)
+        assert F.tobytes() == (P - a[:, None] * C).tobytes()
+        F[:] = 0.0
 
 
 @pytest.mark.parametrize("k, m", [(1, 1), (1, 3), (4, 2), (4, 4), (6, 9)])
@@ -270,7 +269,7 @@ def test_pivoted_lsq_consistent_system_has_zero_residual():
     F = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
     target = np.array([1.0, -2.0 + 1j, 0.5j])
     b = F @ target
-    w = pivoted_weighted_lsq(rng.uniform(0.5, 2.0, 6), F, b, pivot=0)
+    w = pivoted_weighted_lsq(rng.uniform(0.5, 2.0, 6), F.copy(), b.copy(), pivot=0)
     assert_allclose(w, target, rtol=1e-12)
     assert np.linalg.norm(F @ w - b) <= 1e-12 * np.linalg.norm(F)
 
@@ -294,7 +293,7 @@ def test_pivoted_lsq_weighted_residual_orthogonal_to_free_columns():
         b = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
         d = rng.uniform(0.1, 3.0, rows)
         pivot = int(rng.integers(0, k))
-        w = pivoted_weighted_lsq(d, F, b, pivot)
+        w = pivoted_weighted_lsq(d, F.copy(), b.copy(), pivot)
         resid = d * (F @ w - b)
         DF = d[:, None] * F
         tol = 1e-10 * np.linalg.norm(DF) * max(1.0, np.linalg.norm(resid))
@@ -302,6 +301,22 @@ def test_pivoted_lsq_weighted_residual_orthogonal_to_free_columns():
             if j == pivot:
                 continue
             assert abs(np.vdot(DF[:, j], resid)) <= tol
+
+
+@pytest.mark.parametrize("k, pivot", [(5, 0), (5, 2), (5, 4), (1, 0)])
+def test_pivoted_lsq_on_the_view_is_the_solve_on_a_contiguous_copy(k, pivot):
+    """The solve scales the whole F, then drops the pinned column, as a
+    strided view at pivot 0: the bytes of lstsq on the free columns formed
+    explicitly as one contiguous array, with 1 inserted at the pivot."""
+    rng = np.random.default_rng(43 + 10 * k + pivot)
+    F = rng.standard_normal((30, k)) + 1j * rng.standard_normal((30, k))
+    b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    d = rng.uniform(0.1, 3.0, 30)
+    free = np.ascontiguousarray(np.delete(F * d[:, None], pivot, 1))
+    sol = np.linalg.lstsq(free, d * (b - F[:, pivot]), rcond=None)[0]
+    want = np.insert(sol, pivot, 1.0)
+    got = pivoted_weighted_lsq(d, F.copy(), b.copy(), pivot)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_pivoted_lsq_rejects_bad_pivot():

@@ -205,6 +205,30 @@ def test_fits_finish_on_near_coincident_points(name, i):
         assert len(trace.records) == 11
 
 
+@pytest.mark.parametrize("mode", ["probabilistic", "relative"])
+@pytest.mark.parametrize("sigma", [1e-3, 1e-6])
+@pytest.mark.parametrize("name", ["relu", "abs_sin3pi"])
+def test_nlaaa_error_never_rises_on_noisy_data(name, sigma, mode):
+    """The paper's guarantee where it matters, on samples the builtins never
+    produce: a builtin on 501 points plus sigma N(0, 1) noise. The full-data
+    l2 never rises, and a fallback row keeps the previous weights, so it
+    repeats that row's l2 and linf exactly; these fits fall back."""
+    data = sample_builtin(name, 501)
+    noise = sigma * np.random.default_rng(7).standard_normal(data.size)
+    noisy = SampleSet(data.points, data.values + noise)
+    cfg = NlaaaConfig(max_degree=20, tol=0.0, fallback_mode=mode)
+    _, trace = _fit_without_runtime_warnings(nlaaa_fit, noisy, cfg)
+    records = trace.records
+    assert len(records) == 21
+    l2 = np.array([r.l2_norm for r in records])
+    assert np.all(l2[1:] <= l2[:-1])
+    fallbacks = [i for i in range(1, len(records)) if records[i].branch == "fallback"]
+    assert fallbacks
+    for i in fallbacks:
+        assert records[i].l2_norm == records[i - 1].l2_norm
+        assert records[i].linf_norm == records[i - 1].linf_norm
+
+
 def _evaluation(model, z):
     """The bytes of model(z), or the message of the PoleAtPointError it raises."""
     try:

@@ -169,11 +169,11 @@ def test_wf_step_minimizes_the_linearized_objective():
 
 @pytest.mark.parametrize("first", [1.0, 1e-14])
 def test_wf_step_is_the_solve_on_the_shifted_numerator_matrix_bit_for_bit(first):
-    """wf_step forms P - diag(n/d) C split at its pivot from the system's
-    pinned columns: the same bits as the solve on the whole matrix, for
-    pivot 0 and for the largest entry when entry 0 is negligible. From
-    scratch it evaluates w into its Iterate and takes the one path of a
-    step from that Iterate."""
+    """wf_step solves on the system's P - diag(n/d) C, the gradients'
+    shifted numerator matrix, for pivot 0 and for the largest entry when
+    entry 0 is negligible; test_linalg checks that solve against lstsq on
+    an explicit formation. From scratch it evaluates w into its Iterate
+    and takes the one path of a step from that Iterate."""
     rng = np.random.default_rng(61)
     supports, interp, data = random_instance(rng, 7, 150)
     system = _system_for(supports, interp, data)
