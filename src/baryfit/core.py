@@ -216,9 +216,6 @@ class RationalModel:
             raise ValueError("h*w overflows: the model is not finite")
         # what __call__ evaluates: the supports of nonzero weight, in order
         self._live = tuple(a[live] for a in (self.supports, self.values, self.weights, hw))
-        # live supports in numpy's complex order, to find points that hit one
-        self._support_order = np.argsort(self._live[0])
-        self._sorted_supports = self._live[0][self._support_order]
         self._support_top = float(np.abs(self._live[0].view(float)).max())
 
     @classmethod
@@ -244,7 +241,10 @@ class RationalModel:
         """Evaluate the model at one or more points (scalar in, scalar out).
 
         At a support of nonzero weight the stored value is returned exactly.
-        Every other point keeps the bits of the plain formula unless its
+        No call searches the points for supports: at one, 1 / (z - lambda)
+        is not finite, so the point reaches the rescue below, which alone
+        tells such points apart and gives them the stored value. Every
+        other point keeps the bits of the plain formula unless its
         denominator or ratio is not finite, a zero denominator included:
         within about 2^-1024 of a support 1 / (z - lambda) overflows, a
         little farther out the sums or their ratio can, and far from small
@@ -269,7 +269,6 @@ class RationalModel:
         scalar_in = np.isscalar(z) or np.shape(z) == ()
         zv = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
         lam, h, w, hw = self._live
-        hit_row, hit_col = self._support_hits(zv)
         x = zv  # the points computed with
         if self._support_top >= _WIDE_SUPPORTS and (
                 self._support_top + float(np.abs(zv.view(float)).max(initial=0.0)) >= _WIDE):
@@ -287,9 +286,6 @@ class RationalModel:
             for start in range(0, max(last, 1), rows):
                 stop = start + rows if start + rows < last else zv.size
                 cauchy = x[start:stop, None] - lam[None, :]
-                if hit_row.size:
-                    in_block = slice(*np.searchsorted(hit_row, (start, stop)))
-                    cauchy[hit_row[in_block] - start, hit_col[in_block]] = 1.0
                 np.divide(1.0, cauchy, out=cauchy)  # in place; rounds like 1.0 / cauchy
                 # two matrix-vector products, not one product with a two-column
                 # matrix: the latter sums in another order and moves the last bits
@@ -297,18 +293,23 @@ class RationalModel:
                 np.matmul(cauchy, w, out=den[start:stop])
             r = num / den
             # r . den is not finite where an entry of either is not: where
-            # den is not, where it is zero (r is not), and where num / den
-            # overflows, inside numpy's complex division too (a subnormal
-            # den or large num and den); a nan point keeps its nan
+            # den is not, at a live support too, where it is zero (r is
+            # not), and where num / den overflows, inside numpy's complex
+            # division too (a subnormal den or large num and den); a nan
+            # point keeps its nan
             if not cmath.isfinite(r.dot(den)):
-                redo = ~(np.isfinite(den) & np.isfinite(r) | np.isnan(zv))
-                redo[hit_row] = False
-                redo = np.flatnonzero(redo)
-                r[redo], den[redo] = self._rescaled(x[redo], lam)
-                pole = redo[den[redo] == 0]
-                if pole.size:
-                    raise PoleAtPointError("denominator vanishes at z = %s" % zv[pole[0]])
-        r[hit_row] = h[hit_col]
+                redo = np.flatnonzero(~(np.isfinite(den) & np.isfinite(r) | np.isnan(zv)))
+                # a point at a live support is here too: it takes the stored
+                # value, and only the other rows are rescaled, as one call
+                at = zv[redo, None] == self._live[0]
+                hit = at.any(axis=1)
+                r[redo[hit]] = h[at[hit].argmax(axis=1)]
+                redo = redo[~hit]
+                if redo.size:
+                    r[redo], den[redo] = self._rescaled(x[redo], lam)
+                    pole = redo[den[redo] == 0]
+                    if pole.size:
+                        raise PoleAtPointError("denominator vanishes at z = %s" % zv[pole[0]])
         if scalar_in:
             return complex(r[0])
         return r.reshape(np.shape(z))
@@ -316,6 +317,9 @@ class RationalModel:
     def _rescaled(self, x, lam):
         """(r, den) at points `x` off the live supports `lam`, every
         z - lambda of a point divided by the power of two of its nearest one.
+        __call__ finds its points at a live support in the rescue branch,
+        the one place that compares points with supports, and passes only
+        the others here.
 
         Nearest is by the larger of the real and imaginary parts, which the
         scaling brings into [1, 2), so no reciprocal exceeds 1 in modulus.
@@ -341,13 +345,6 @@ class RationalModel:
         on = top == 0
         r[on], den[on] = h[parts[on].argmin(axis=1)], 1.0
         return r, den
-
-    def _support_hits(self, zv):
-        """(rows, columns) with zv[row] == the live support of that column,
-        rows ascending."""
-        at = np.searchsorted(self._sorted_supports, zv)
-        hit_row = np.nonzero(self._sorted_supports.take(at, mode="clip") == zv)[0]
-        return hit_row, self._support_order[at[hit_row]]
 
 
 class Realization:

@@ -76,7 +76,8 @@ def _direct_eval(model, z):
 
 def test_eval_across_many_blocks_matches_the_direct_formula():
     rng = np.random.default_rng(41)
-    # several supports share a real part, so finding hits must order by both
+    # several supports share a real part, so telling a hit apart must compare
+    # both parts
     supports = np.array([0, 0.5j, -0.5j, 1, 1 + 0.5j, -1, -1 - 0.5j, 0.25, 0.25j])
     k = supports.size
     weights = nonzero_complex(rng, k)
@@ -221,6 +222,20 @@ def test_eval_where_the_wide_scaling_moves_a_point_onto_a_support():
         alone = model(1e300 + 5e-324j)
     assert_array_equal(got, [2.0, 2.0])
     assert alone == 2.0
+
+
+def test_eval_at_a_support_beside_a_rescued_point_keeps_both_values():
+    """A point at a live support and one that is evaluated again scaled both
+    reach the rescue branch of one call: the support reads its stored value
+    exactly, and the far point the bytes it reads alone. The support is kept
+    out of the rescaled rows, whose last bits depend on how many there are."""
+    model = RationalModel([2.0], [0.5 + 0.25j], [0.3 - 0.7j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = model(np.array([2.0, 1e308 + 1e308j]))
+        far = model(np.array([1e308 + 1e308j]))
+    assert got[0] == 0.5 + 0.25j
+    assert got[1:].tobytes() == far.tobytes()
 
 
 def test_eval_far_out_with_nearly_cancelling_weights_is_finite():

@@ -320,22 +320,37 @@ def _rounding_bound(model, z, r):
             / abs((w * c).sum()))
 
 
-def test_evaluation_at_the_edges_of_the_double_range_is_finite_and_pointwise():
+def test_evaluation_at_the_edges_of_the_double_range_is_finite_and_pointwise(monkeypatch):
     """A model evaluates next to its supports and far from them with no
     warning and finite values, unless a pole raises, and every point of a
     call agrees with that point alone to the rounding bound. A call scales
     by 2^-2 for its largest point and rescues a point by its own nearest
-    support, so the two may round apart."""
+    support, so the two may round apart. The supports themselves are points
+    of the same calls: at a live one the stored value is read exactly, also
+    where the call rescales other points."""
+    rescaled = []  # the rows of each rescue of the current call
+    real_rescaled = RationalModel._rescaled
+
+    def counted(self, x, lam):
+        rescaled.append(x.size)
+        return real_rescaled(self, x, lam)
+
+    monkeypatch.setattr(RationalModel, "_rescaled", counted)
+    mixed = 0  # calls that rescale points beside the supports
     rng = np.random.default_rng(2026)
     for _ in range(300):
         model = _edge_model(rng)
         if model is None:
             continue
-        z = _edge_points(rng, model.supports)
+        z = np.concatenate([_edge_points(rng, model.supports), model.supports])
+        live = model.weights != 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
+                rescaled.clear()
                 got = model(z)
+                mixed += bool(rescaled)
+                assert_array_equal(got[z.size - model.k:][live], model.values[live])
             except PoleAtPointError:
                 got = None
             alone = []
@@ -352,3 +367,4 @@ def test_evaluation_at_the_edges_of_the_double_range_is_finite_and_pointwise():
             if a != b:  # never at a support: both return its value exactly
                 assert abs(a - b) <= _rounding_bound(model, zi, max(abs(a), abs(b))), (
                     model.supports, zi, a, b)
+    assert mixed >= 100  # 148 of the 300 draws
