@@ -9,8 +9,8 @@ with NL-AAA, which swaps in its own index and weight choices. As in AAA
 step's weights gives its stopping error, its trace metrics and the
 mismatches the next step ranks, so every row comes from its own weights.
 The weight choice hands that triple to the loop with the weights: AAA's
-evaluates its Levy weights, NL-AAA's refinement the weights it evaluated
-already.
+evaluates its Levy weights, NL-AAA's acceptance test takes the evaluations
+that its refinement made.
 """
 
 import math
@@ -86,12 +86,13 @@ def levy_weights(system):
 def _full_residuals(system, work, w, evaluated=None, full=None):
     """(raw, res, full) of weights `w` on the step's system and work set:
     the active squared error, the residuals |r - H| at the active samples
-    (nan mapped to inf, so a pole at a sample ranks first and the step's
-    metrics read inf) and those at every sample, zero at a support of
-    nonzero weight, which r interpolates exactly. `evaluated`, the
-    ``linalg.Iterate`` of `w` on the system, saves evaluating it again, and
-    `full`, the residuals of `w` at every sample when the caller holds them
-    already, saves making them again where both are finite.
+    (inf at a pole, as ``LevySystem.evaluate`` makes them, so it ranks first
+    and the step's metrics read inf) and those at every sample, zero at a
+    support of nonzero weight, which r interpolates exactly. `evaluated`,
+    the ``linalg.Iterate`` of `w` on the system, saves evaluating it again,
+    and its residuals are taken as they are; `full`, the residuals of `w` at
+    every sample when the caller holds them already, saves making them
+    again where both are finite.
 
     `full` equals the residuals of the model's own evaluation bit for bit
     as long as the system's products sum as the model's do. Two rare cases
@@ -106,8 +107,7 @@ def _full_residuals(system, work, w, evaluated=None, full=None):
         res = np.empty(work.active_count)
         raw = system.residual_sq_sum(w, out=res)
     else:
-        raw, res = evaluated.err, evaluated.res.copy()
-    res[np.isnan(res)] = np.inf
+        raw, res = evaluated.err, evaluated.res
     finite = np.isfinite(res).all()
     if finite and full is not None and np.isfinite(full).all():
         return raw, res, full
@@ -126,8 +126,8 @@ def _greedy_fit(data, cfg, choose_index, choose_weights):
     """The greedy loop of AAA and NL-AAA; returns (model, trace).
 
     The loop carries `res` and `full`, |r - H| at the active samples and
-    at every sample for the current model r (nan mapped to inf, so a pole
-    at a sample ranks first); the constant mean of the values starts `res`.
+    at every sample for the current model r (inf at a pole on a sample, so
+    it ranks first); the constant mean of the values starts `res`.
     Each step promotes `choose_index(res, work, branch)` to a support
     (`branch` is that of the step that made r, None at the start), builds
     the step's LevySystem, and takes `(weights, branch, residuals) =

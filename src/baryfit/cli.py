@@ -47,14 +47,18 @@ from .refine import RefineConfig
 log = logging.getLogger("baryfit")
 
 _LOG_LEVELS = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+_HANDLER = logging.StreamHandler()
+_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
 
 
 def _configure_logging():
+    """The level from BARYFIT_LOG and the one handler on sys.stderr, set on
+    every call, as a process may run main() more than once."""
     name = os.environ.get("BARYFIT_LOG", "info").strip().lower()
-    level = _LOG_LEVELS.get(name)
-    if level is None:
-        level = logging.INFO
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
+    log.setLevel(_LOG_LEVELS.get(name, logging.INFO))
+    _HANDLER.stream = sys.stderr
+    if _HANDLER not in log.handlers:
+        log.addHandler(_HANDLER)
     if name not in _LOG_LEVELS:
         log.warning("BARYFIT_LOG=%r not in %s; using info", name, sorted(_LOG_LEVELS))
 

@@ -28,7 +28,7 @@ fitting algorithms never consume them.
 
 import numpy as np
 
-from .linalg import build_cauchy
+from .linalg import IGNORE, build_cauchy
 from .refine import nonzero_denominators
 
 __all__ = [
@@ -157,7 +157,7 @@ def error_nonlinear(supports, interp_values, data, w):
     """sum |r(z_i; w) - H(z_i)|^2 over the active samples, inf where a pole
     hits one, for w or for each column of a (k, m) stack w."""
     system = data.levy_system(supports, interp_values)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(**IGNORE):
         r = system.numerators(w) / system.denominators(w)
     total = np.sum(np.abs(r - system.data_values) ** 2, axis=-1)
     return _per_column(np.where(np.isnan(total), np.inf, total))

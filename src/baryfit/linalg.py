@@ -59,7 +59,7 @@ def build_cauchy(active_points, supports):
 class Iterate(NamedTuple):
     """A weight vector with its one evaluation on a LevySystem: n(z_i; w),
     d(z_i; w), the raw active squared error (inf where a pole hits) and the
-    residuals |r(z_i; w) - H(z_i)| (nan or inf there)."""
+    residuals |r(z_i; w) - H(z_i)| (inf there)."""
 
     weights: np.ndarray
     n: np.ndarray
@@ -119,13 +119,15 @@ class LevySystem:
         """The :class:`Iterate` of w; call under ``np.errstate(**IGNORE)``.
 
         `out`, a float array with one entry per active sample, receives the
-        residuals |r(z_i; w) - H(z_i)|; a pole at an active point leaves a
-        nan or inf there.
+        residuals |r(z_i; w) - H(z_i)|; a pole at an active point leaves an
+        inf there, so that it ranks first.
         """
         n, d = self.numerators(w), self.denominators(w)
         res = np.abs(n / d - self.data_values, out=out)
         total = float((res ** 2).sum())
-        return Iterate(w, n, d, np.inf if np.isnan(total) else total, res)
+        if math.isnan(total):  # only a nan residual makes the sum nan
+            res[np.isnan(res)] = total = np.inf
+        return Iterate(w, n, d, total, res)
 
 
 def assemble_levy_system(active_points, active_values, supports, interp_values):

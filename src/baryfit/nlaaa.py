@@ -5,27 +5,28 @@ NL-AAA is the greedy loop of AAA (``aaa._greedy_fit``) with other weights:
 weights, extended by a zero for the new support (SK, a single WF step
 from them, and the full WF iteration from the better of the two), and the
 loop keeps the previous model (zero weight on the new support) whenever
-that does not beat it on the full data set. A zero weight drops out of
-model evaluation, so the zero-extended previous weights evaluate bit for
-bit as the previous model and are the one reference of that test, which
-scores both weight vectors by the ``aaa._full_residuals`` triples that
-refit hands back. The reference's residuals at every sample are the
-previous model's, which the loop carries, so it evaluates no model for
-them. The loop takes the winner's triple, the route every trace row, a
-fallback's too, takes its metrics by, and computes none again. The
-fallback makes the reported full-data error
-provably non-increasing; the step after a fallback ranks the loop's active
-residuals |r - H| with a probabilistic or relative-error variant of the
-greedy selection, so the same support choice cannot stall the iteration
-twice.
+that does not beat it on the full data set. :func:`select_weights` owns
+that test. A zero weight drops out of model evaluation, so the
+zero-extended previous weights evaluate bit for bit as the previous model
+and are the test's one reference; it scores both weight vectors by their
+``aaa._full_residuals`` triples, made from the refinement's Iterates. The
+reference's residuals at every sample are the previous model's, which the
+loop carries, so it evaluates no model for them. The loop takes the
+winner's triple, the route every trace row, a fallback's too, takes its
+metrics by, and computes none again. The fallback makes the reported
+full-data error provably non-increasing; the step after a fallback ranks
+the loop's active residuals |r - H| with a probabilistic or relative-error
+variant of the greedy selection, so the same support choice cannot stall
+the iteration twice.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aaa import FitConfig, _greedy_fit, greedy_select
+from .aaa import FitConfig, _full_residuals, _greedy_fit, greedy_select
 from .core import NumericalError, _check_integer
+from .linalg import IGNORE
 from .refine import RefineConfig, refit
 
 __all__ = [
@@ -76,22 +77,26 @@ def select_weights(system, data, w_prev_ext, cfg, prev_full=None):
 
     ``refine.refit`` refines from w_prev_ext: SK on the step's LevySystem,
     one WF step from w_prev_ext, and the WF run from the better of the two.
-    Its weights must strictly lower the full-data squared error of
+    Its best weights must strictly lower the full-data squared error of
     w_prev_ext over all samples of `data`, the step's work set, whose
     interpolated samples are the system's supports; otherwise w_prev_ext
     is kept and the branch tag reports the fallback. The zero extension
     evaluates bit for bit as the previous model (a model evaluates over its
     nonzero weights only), so this one comparison is against the error
     recorded for the previous model, and accepted errors strictly fall.
-    Both scores come from the triples refit made. `prev_full`, the previous
-    model's residuals at every sample, which the loop carries, are the
-    reference's, so it evaluates no model; a candidate rarely does.
+    Both triples are made here, from the Iterates that refit evaluated; a
+    run that kept its start shares the reference's. `prev_full`, the
+    previous model's residuals at every sample, which the loop carries, are
+    the reference's, so it evaluates no model; a candidate rarely does.
     """
     w_prev_ext = np.asarray(w_prev_ext, dtype=complex)
-    weights, branch, residuals, reference = refit(
-        system, data, w_prev_ext, cfg.refine, prev_full)
+    with np.errstate(**IGNORE):
+        start = system.evaluate(w_prev_ext)
+    best, branch = refit(system, start, cfg.refine)
+    reference = _full_residuals(system, data, w_prev_ext, start, prev_full)
+    residuals = reference if best is start else _full_residuals(system, data, best.weights, best)
     if full_squared_error(residuals) < full_squared_error(reference):
-        return weights, branch, residuals
+        return best.weights, branch, residuals
     return w_prev_ext, "fallback", reference
 
 

@@ -11,12 +11,13 @@ the best one.
 
 :func:`refit` is the refinement of one fixed support set that NL-AAA takes
 at every greedy step: SK, one WF step from a start, and the WF run from the
-better of the two, handed back with the full residuals of its weights and
-of the start. It evaluates each weight vector on the system once, into the
-``linalg.Iterate`` that gives its error, the next step and, for the best
-one, its residuals. SK's best iterate is the start of its WF run, and the
-run from the start continues from the one-step WF that the comparison
-took. Each run holds one ``np.errstate`` around all of its iterates.
+better of the two. Iterate in, best Iterate out: it evaluates each weight
+vector on the system once, into the ``linalg.Iterate`` that gives its
+error, the next step and, for the best one, its residuals, and it knows
+nothing of the full data set, which NL-AAA's acceptance test scores. SK's
+best iterate is the start of its WF run, and the run from the start
+continues from the one-step WF that the comparison took. Each run holds one
+``np.errstate`` around all of its iterates.
 """
 
 import math
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aaa import _full_residuals
 from .core import NumericalError, _check_integer
 from .linalg import (
     IGNORE,
@@ -219,38 +219,24 @@ def wf_iterate(system, w0, cfg, done=()):
     return _result(iterates, converged)
 
 
-def refit(system, work, start, cfg, start_full=None):
-    """Refine the weights of the supports of `system`, the LevySystem of the
-    work set `work` (whose interpolated samples are its supports), from the
-    weights `start`; returns (weights, branch, residuals, start_residuals).
+def refit(system, start, cfg):
+    """Refine the weights of the supports of `system` from `start`, the
+    ``linalg.Iterate`` of the start weights on it; returns (best, branch),
+    `best` the Iterate of the WF run's best weights.
 
-    Runs SK, takes one WF step from `start`, and runs WF from the better of
-    the two by raw active squared error: from SK's best iterate (branch
-    "wf-from-sk") or, on a tie or when SK is worse, from `start`
+    Runs SK, takes one WF step from the start, and runs WF from the better
+    of the two by raw active squared error: from SK's best iterate (branch
+    "wf-from-sk") or, on a tie or when SK is worse, from the start
     ("wf-from-prev"), continuing from that step. A start whose denominator
-    vanishes at an active sample has no step, and error inf. `weights` is
-    the WF run's best iterate; the two residual triples are
-    ``aaa._full_residuals`` of `weights` and of `start` over `work`, made
-    from the iterates' own evaluations. `start_full`, the residuals of
-    `start` at every sample when the caller holds them (NL-AAA's
-    zero-extended start evaluates as the previous model, whose residuals
-    the loop carries), spares the start a model evaluation. Acceptance is
-    the caller's.
+    vanishes at an active sample has no step, and error inf. A run that
+    keeps its start returns `start` itself. Acceptance is the caller's.
     """
-    start = np.asarray(start, dtype=complex)
     sk = sk_iterate(system, cfg)
-    with np.errstate(**IGNORE):
-        prev = system.evaluate(start)
-        try:
-            done = (prev, system.evaluate(wf_step(system, start, prev)))
-        except NumericalError:  # d(z_i; start) = 0 at an active sample
-            done = (prev,)
+    try:
+        with np.errstate(**IGNORE):
+            done = (start, system.evaluate(wf_step(system, start.weights, start)))
+    except NumericalError:  # d(z_i; start) = 0 at an active sample
+        done = (start,)
     if sk.best.err < (done[1].err if len(done) == 2 else np.inf):
-        run, branch = wf_iterate(system, sk.weights, cfg, (sk.best,)), "wf-from-sk"
-    else:
-        run, branch = wf_iterate(system, start, cfg, done), "wf-from-prev"
-    best = run.best
-    reference = _full_residuals(system, work, start, prev, start_full)
-    # a run that kept its start shares the triple
-    residuals = reference if best is prev else _full_residuals(system, work, best.weights, best)
-    return best.weights, branch, residuals, reference
+        return wf_iterate(system, sk.weights, cfg, (sk.best,)).best, "wf-from-sk"
+    return wf_iterate(system, start.weights, cfg, done).best, "wf-from-prev"

@@ -242,6 +242,17 @@ def test_realize_checks_the_transfer_past_a_pole_at_a_probe(tmp_path, caplog):
     assert "transfer check at z=0.5" in caplog.text
 
 
+def test_realize_warns_when_every_probe_point_is_a_support(tmp_path, monkeypatch, caplog):
+    monkeypatch.delenv("BARYFIT_LOG", raising=False)
+    model_path = tmp_path / "model.json"
+    probes = [0.0, 0.5, 1.5 + 0.5j, -2.25 + 1j, 3.75 - 2j]
+    save_model(model_path, RationalModel.barycentric(probes, [1.0, 2.0, 3.0, 4.0, 5.0], np.ones(5)))
+    outdir = tmp_path / "rom"
+    assert cli.main(["realize", "--model", str(model_path), "--out", str(outdir)]) == 0
+    assert "found no probe point for a check" in caplog.text
+    assert sorted(p.name for p in outdir.iterdir()) == ["A.csv", "E.csv", "b.csv", "c.csv"]
+
+
 def test_realize_rejects_constant_models(tmp_path, caplog):
     # the format's one kind is barycentric; a constant is a one-support model
     model_path = tmp_path / "model.json"
@@ -288,6 +299,15 @@ def test_gradcheck_reports_a_small_deviation(tmp_path, capsys):
     assert cli.main(["gradcheck", "--data", str(data), "--k", "4", "--seed", "7"]) == 0
     worst = float(capsys.readouterr().out.strip())
     assert 0.0 <= worst < 1e-5
+
+
+def test_gradcheck_fails_on_a_wrong_gradient(tmp_path, monkeypatch, capsys, caplog):
+    data = _sample_file(tmp_path, "abs", 31)
+    original = cli.grad_levy
+    monkeypatch.setattr(cli, "grad_levy", lambda *args: 2 * original(*args))
+    assert cli.main(["gradcheck", "--data", str(data), "--k", "4", "--seed", "7"]) == 3
+    assert float(capsys.readouterr().out.strip()) > 1e-5
+    assert "gradient check failed" in caplog.text
 
 
 def test_gradcheck_validates_the_support_count(tmp_path):
@@ -394,10 +414,24 @@ def test_complex_csvs_keep_their_17_digit_text_and_read_back_bit_for_bit(tmp_pat
 # ----------------------------------------------------------------- logging
 
 
-def test_unknown_log_level_falls_back_to_info(tmp_path, monkeypatch):
+def test_unknown_log_level_falls_back_to_info(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BARYFIT_LOG", "chatty")
     path = _sample_file(tmp_path, "relu", 4, name="logtest.csv")
     assert load_samples(path).size == 4
+    err = capsys.readouterr().err
+    assert "WARNING BARYFIT_LOG='chatty' not in ['debug', 'info', 'quiet']; using info" in err
+    assert "INFO wrote 4 samples of relu to" in err
+
+
+def test_each_call_takes_the_log_level_of_its_environment(tmp_path, monkeypatch, capsys):
+    """main() reads BARYFIT_LOG on every call: after a quiet call, an info
+    call in the same process prints its info line, once."""
+    monkeypatch.setenv("BARYFIT_LOG", "quiet")
+    _sample_file(tmp_path, "relu", 4, name="quiet.csv")
+    assert capsys.readouterr().err == ""
+    monkeypatch.setenv("BARYFIT_LOG", "info")
+    _sample_file(tmp_path, "relu", 4, name="info.csv")
+    assert capsys.readouterr().err.count("INFO wrote 4 samples of relu") == 1
 
 
 def test_fit_model_file_round_trips_through_eval(tmp_path, capsys):

@@ -98,8 +98,15 @@ def test_levy_system_residual_helpers_are_consistent():
             it = system.evaluate(w)
         assert system.residual_sq_sum(w, out=res) == np.inf
     assert it.err == np.inf
-    assert not np.isfinite(it.res[0]) and np.isfinite(it.res[1])
-    assert not np.isfinite(res[0]) and res[1] == it.res[1]
+    assert it.res[0] == np.inf and np.isfinite(it.res[1])
+    assert res[0] == np.inf and res[1] == it.res[1]
+    # with h = (1, 1) the numerator vanishes there too; the residual of 0/0
+    # reads inf, not nan, so that it ranks first
+    system = assemble_levy_system([0.5, 2.0], [1.0, 1.0], [0.0, 1.0], [1.0, 1.0])
+    with np.errstate(**IGNORE):
+        it = system.evaluate(w)
+    assert it.n[0] == it.d[0] == 0
+    assert it.res[0] == np.inf and it.err == np.inf and np.isfinite(it.res[1])
 
 
 def test_min_unit_norm_diagonal_case():

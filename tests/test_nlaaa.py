@@ -146,12 +146,14 @@ def test_every_nlaaa_model_evaluates_as_its_copy_without_zero_weights(monkeypatc
     """Each candidate and each zero-extended previous model of an NL-AAA fit
     evaluates at the samples bit for bit as the same model without its
     zero-weight supports, and full_squared_error, which scores it from the
-    residuals the refinement handed back, equals that model's squared error
-    and its own score from scratch bit for bit."""
+    residuals made from the refinement's Iterates, equals that model's
+    squared error and its own score from scratch bit for bit."""
     data = sample_builtin("abs", 501)
     original_score, original_refit = nlaaa.full_squared_error, nlaaa.refit
+    original_full = nlaaa._full_residuals
     zero_weights, scored = [], []
-    pending = []  # (system, work, weights, triple) of each score to come
+    pending = []  # (system, weights) of each score to come
+    made = []  # (system, work, weights, triple) of each triple select_weights made
 
     def check(supports, interp, weights):
         live = weights != 0
@@ -161,15 +163,21 @@ def test_every_nlaaa_model_evaluates_as_its_copy_without_zero_weights(monkeypatc
         assert whole(data.points).tobytes() == compact(data.points).tobytes()
         return compact
 
-    def recording_refit(system, work, start, cfg, start_full):
-        out = original_refit(system, work, start, cfg, start_full)
-        pending.extend([(system, work, out[0], out[2]), (system, work, start, out[3])])
+    def recording_refit(system, start, cfg):
+        out = original_refit(system, start, cfg)
+        pending.extend([(system, out[0].weights), (system, start.weights)])
         return out
+
+    def recording_full(system, work, w, *args):
+        triple = original_full(system, work, w, *args)
+        made.append((system, work, w, triple))
+        return triple
 
     def checked_score(residuals):
         got = original_score(residuals)
-        system, work, weights, triple = pending.pop(0)
-        assert triple is residuals
+        system, weights = pending.pop(0)
+        [work] = [wk for s, wk, w, triple in made
+                  if s is system and w is weights and triple is residuals]
         compact = check(system.supports, system.interp_values, weights)
         assert got == _model_squared_error(compact, work)
         assert got == _full_error(system, work, weights)
@@ -177,6 +185,7 @@ def test_every_nlaaa_model_evaluates_as_its_copy_without_zero_weights(monkeypatc
         return got
 
     monkeypatch.setattr(nlaaa, "refit", recording_refit)
+    monkeypatch.setattr(nlaaa, "_full_residuals", recording_full)
     monkeypatch.setattr(nlaaa, "full_squared_error", checked_score)
     model, trace = nlaaa_fit(data, NlaaaConfig(max_degree=30, tol=0.0))
     check(model.supports, model.values, model.weights)
@@ -405,27 +414,29 @@ def test_select_weights_is_its_composition_from_scratch_bit_for_bit(monkeypatch,
 
 
 def _checking_refit(monkeypatch):
-    """Check every refit of an NL-AAA fit: the reference triple it returns,
-    of the zero-extended start, equals _full_residuals(system, work, start)
-    from scratch byte for byte, and its full residuals are the vector the
-    loop carried wherever that and the start's active residuals are finite.
-    Returns the list of whether each step's carried vector was finite."""
-    original = nlaaa.refit
+    """Check every step of an NL-AAA fit: the reference triple that
+    select_weights makes for its zero-extended start equals
+    _full_residuals(system, work, start) from scratch byte for byte, and
+    its full residuals are the vector the loop carried wherever that and the
+    start's active residuals are finite. Returns the list of whether each
+    step's carried vector was finite."""
+    original = nlaaa._full_residuals
     carried_finite = []
 
-    def checked(system, work, start, cfg, start_full):
-        out = original(system, work, start, cfg, start_full)
-        raw, res, full = _full_residuals(system, work, start)
-        reference = out[3]
+    def checked(system, work, w, evaluated=None, start_full=None):
+        reference = original(system, work, w, evaluated, start_full)
+        if start_full is None:  # a candidate's triple
+            return reference
+        raw, res, full = _full_residuals(system, work, w)
         assert reference[0] == raw
         assert reference[1].tobytes() == res.tobytes()
         assert reference[2].tobytes() == full.tobytes()
         finite = bool(np.isfinite(start_full).all())
         assert (reference[2] is start_full) == (finite and np.isfinite(res).all())
         carried_finite.append(finite)
-        return out
+        return reference
 
-    monkeypatch.setattr(nlaaa, "refit", checked)
+    monkeypatch.setattr(nlaaa, "_full_residuals", checked)
     return carried_finite
 
 

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from baryfit import FitConfig, NlaaaConfig, SampleSet, aaa_fit, nlaaa_fit, sample_builtin
+from baryfit import aaa, nlaaa, refine
 from baryfit.aaa import levy_weights
 from baryfit.core import NumericalError
 from baryfit.gradients import error_wf_step, grad_nonlinear
@@ -356,3 +357,12 @@ def test_a_vanishing_denominator_is_reported_at_its_sample(call):
     # the guard hands back d where it vanishes nowhere
     d_ok = system.denominators(np.array([w0, 1.0]))
     assert nonzero_denominators(system, d_ok) is d_ok
+
+
+def test_refine_binds_nothing_of_the_greedy_loop():
+    """The refinement sits below the greedy loop: refine binds no object
+    defined in aaa or nlaaa, so a caller of refit needs neither."""
+    loop = {aaa.__name__, nlaaa.__name__}
+    for name, value in vars(refine).items():
+        assert value is not aaa and value is not nlaaa, name
+        assert getattr(value, "__module__", None) not in loop, name
